@@ -72,12 +72,12 @@ def test_throughput_text_serialize(benchmark, shell_trace):
 
 
 def test_throughput_warm_artifact_cache(benchmark, tmp_path_factory):
-    """Warm-cache rerun of the full derivation chain.
+    """Warm-cache rerun of a fully derived cell.
 
     The cold pass (outside the timer) populates the on-disk artifact
-    cache with the trace and all four derived artifacts; the measured
-    warm passes must serve every generation/derivation stage from disk —
-    zero recomputes — leaving only the simulation itself.
+    cache with the trace, all four derived artifacts and the cell's
+    simulation result; the measured warm passes must serve the result
+    from disk — zero recomputes, no simulation.
     """
     cache_dir = tmp_path_factory.mktemp("bench-artifact-cache")
     cold = ExperimentRunner(scale=SCALE, seed=1996,
@@ -91,7 +91,8 @@ def test_throughput_warm_artifact_cache(benchmark, tmp_path_factory):
 
     cache, metrics = benchmark.pedantic(warm_run, rounds=3, iterations=1)
     assert metrics.prefetches_issued > 0
-    # All trace generation and derivation stages were skipped.
+    # Generation, derivation and simulation were all skipped.
+    assert cache.stats["metrics.hit"] == 1
     recomputed = {event: count for event, count in cache.stats.items()
                   if event.endswith((".miss", ".store", ".corrupt")) and count}
     assert not recomputed, recomputed

@@ -509,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="on-disk artifact cache directory "
                         f"(default {DEFAULT_CACHE_DIR!r})")
     p.add_argument("--no-cache", action="store_true",
-                   help="do not persist traces/artifacts on disk")
+                   help="do not persist traces, artifacts or results "
+                        "on disk (re-simulates every cell)")
     p.add_argument("-o", "--output", default="")
     p.add_argument("-q", "--quiet", action="store_true")
     p.set_defaults(fn=cmd_sweep)
@@ -528,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="on-disk artifact cache directory "
                         f"(default {DEFAULT_CACHE_DIR!r})")
     p.add_argument("--no-cache", action="store_true",
-                   help="do not persist traces/artifacts on disk")
+                   help="do not persist traces, artifacts or results "
+                        "on disk (re-simulates every cell)")
     p.add_argument("--ledger", default="",
                    help="JSONL run-ledger path (default: a fresh file "
                         "inside the cache directory)")

@@ -41,6 +41,20 @@ class DeadlockError(SimulationError):
     """All processors are blocked and no progress is possible."""
 
 
+class AccountingError(SimulationError):
+    """A metrics object breaks one of its exact accounting identities.
+
+    Raised by :meth:`repro.sim.metrics.SystemMetrics.verify`, e.g. when
+    the per-kind bus traffic does not sum to the bus busy cycles.  The
+    artifact cache quarantines a stored result that raises it.
+    ``identity`` names the broken identity.
+    """
+
+    def __init__(self, message: str, identity: str = "") -> None:
+        super().__init__(message)
+        self.identity = identity
+
+
 class ConformanceError(SimulationError):
     """The conformance checker observed a protocol violation.
 

@@ -13,11 +13,12 @@ all artifacts so each trace, transform and simulation runs once.  With
 selected artifacts is decomposed into jobs and pre-computed by the
 parallel engine (:mod:`repro.experiments.parallel`), printing a live job
 ledger; the table/figure builders then render from the warm in-memory
-cache.  ``--cache-dir`` (default ``.repro-cache``) persists traces and
-derived artifacts across runs — a repeat sweep skips every generation
-and derivation stage.  The rendered output prints the same rows/series
-the paper reports and is identical for any worker count and cache
-temperature.
+cache.  ``--cache-dir`` (default ``.repro-cache``) persists traces,
+derived artifacts and simulation results across runs — a repeat sweep
+skips every generation, derivation and simulation step, and
+``--no-cache`` forces them all.  The rendered output prints the same
+rows/series the paper reports and is identical for any worker count and
+cache temperature.
 
 Parallel sweeps are fault tolerant: failed or timed-out jobs are
 retried with deterministic backoff (``--max-retries``,
@@ -198,7 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="on-disk artifact cache directory "
                              f"(default {DEFAULT_CACHE_DIR!r})")
     parser.add_argument("--no-cache", action="store_true",
-                        help="do not persist traces/artifacts on disk")
+                        help="do not persist traces, artifacts or results "
+                             "on disk (re-simulates every cell)")
     parser.add_argument("--ledger", type=str, default="",
                         help="JSONL run-ledger path (default: a fresh "
                              "file inside the cache directory)")

@@ -12,14 +12,19 @@ pickling multi-megabyte traces over pipes).
 
 Design:
 
-* **Content-addressed keys.**  :func:`stage_key` hashes the canonical
-  JSON encoding of every input that the artifact depends on — including
-  a full fingerprint of the machine parameters
-  (:func:`machine_fingerprint`) and the cache format version — so any
-  parameter change lands in a fresh slot and stale entries are simply
-  never read again.
+* **Content-addressed keys.**  :func:`stage_key` and
+  :func:`metrics_key` hash the canonical JSON encoding of every input
+  that the artifact depends on — including a full fingerprint of the
+  machine parameters (:func:`machine_fingerprint`), the cache format
+  version, and a fingerprint of the program itself
+  (:func:`code_fingerprint`) — so any parameter change or code edit
+  lands in a fresh slot and stale entries are simply never read again.
 * **NPZ payloads for traces** via :mod:`repro.trace.npzio`; small
   artifacts (update selections, hot-spot lists) are stored as JSON.
+* **Verified restores.**  A cached simulation result is rebuilt through
+  :meth:`SystemMetrics.from_snapshot` and checked with
+  :meth:`SystemMetrics.verify`; one that breaks an accounting identity
+  is quarantined like a corrupt file and re-simulated.
 * **Corruption safety.**  Writes go to a temporary file in the same
   directory followed by an atomic :func:`os.replace`, and every payload
   gets a SHA-256 sidecar (``<entry>.sha256``) computed at store time.
@@ -42,15 +47,18 @@ engine's result maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import tempfile
 import zipfile
 from collections import Counter
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ArtifactCorruptError, TraceError
+from repro.common.errors import (AccountingError, ArtifactCorruptError,
+                                 TraceError)
 from repro.common.params import MachineParams
 from repro.optim.update_select import UpdateSelection
 from repro.sim.metrics import SystemMetrics
@@ -81,6 +89,25 @@ def machine_fingerprint(machine: MachineParams) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """Stable short hash of every ``.py`` file of the :mod:`repro` package.
+
+    Part of every cache key, so an edit to the simulator, a generator or
+    a derivation pass moves all results into a fresh key space instead
+    of serving numbers the current code would not produce.  Computed
+    once per process.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sha = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        sha.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                   .encode())
+        sha.update(data)
+    return sha.hexdigest()[:16]
+
+
 @dataclasses.dataclass(frozen=True)
 class SimKey:
     """Typed key of one simulation cell: who ran, under what, on what."""
@@ -105,6 +132,7 @@ def stage_key(stage: str, scale: float, seed: int, workload: str,
     """
     payload = {
         "version": CACHE_VERSION,
+        "code": code_fingerprint(),
         "stage": stage,
         "scale": scale,
         "seed": seed,
@@ -122,7 +150,9 @@ def metrics_key(scale: float, seed: int, key: SimKey,
 
     Unlike :func:`stage_key`, this keys a finished
     :class:`~repro.sim.metrics.SystemMetrics`, so repeat cells can be
-    served without re-simulating (the sweep service's warm path).
+    served without re-simulating (:meth:`ExperimentRunner.run
+    <repro.experiments.runner.ExperimentRunner.run>` looks every cell up
+    here first).
     *profiling_machine* is the fingerprint of the machine the derivation
     pipeline profiled on: the update-page set and hot-spot list depend
     on it even when the simulated machine differs (Figures 6-7 sweep
@@ -131,6 +161,7 @@ def metrics_key(scale: float, seed: int, key: SimKey,
     """
     payload = {
         "version": CACHE_VERSION,
+        "code": code_fingerprint(),
         "stage": "metrics",
         "scale": scale,
         "seed": seed,
@@ -371,16 +402,22 @@ class ArtifactCache:
 
         Restores through :meth:`SystemMetrics.from_snapshot`, whose
         round trip is exact — a cell served from here is bit-identical
-        (snapshot-equal) to re-running the simulation.
+        (snapshot-equal) to re-running the simulation, down to the tie
+        order of its counters — and checks the restored object with
+        :meth:`SystemMetrics.verify`.
         """
         payload = self.load_json(key, "metrics")
         if payload is None:
             return None
         try:
-            return SystemMetrics.from_snapshot(payload)
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            # Valid JSON, wrong shape (or a snapshot from an
-            # incompatible interpreter): quarantine and re-simulate.
+            metrics = SystemMetrics.from_snapshot(payload)
+            metrics.verify()
+            return metrics
+        except (KeyError, TypeError, ValueError, AttributeError,
+                AccountingError) as err:
+            # Valid JSON, wrong shape, a snapshot from an incompatible
+            # interpreter, or numbers that break an accounting identity:
+            # quarantine and re-simulate.
             self._quarantine(self._path(key, "json"), stage="metrics",
                              error=err)
             self.stats["metrics.corrupt"] += 1

@@ -9,11 +9,24 @@ a full table/figure sweep generates each trace and derived artifact once.
 
 Caching is two-level: every artifact lives in this process's in-memory
 maps, and — when the runner is given an
-:class:`~repro.experiments.artifacts.ArtifactCache` — traces and derived
-artifacts also persist in the content-addressed on-disk cache, shared
-across runs and across the parallel engine's worker processes.
-Simulation results are keyed by the frozen
-:class:`~repro.experiments.artifacts.SimKey` dataclass.
+:class:`~repro.experiments.artifacts.ArtifactCache` — traces, derived
+artifacts and simulation results also persist in the content-addressed
+on-disk cache, shared across runs and across the parallel engine's
+worker processes.  Simulation results are keyed by the frozen
+:class:`~repro.experiments.artifacts.SimKey` dataclass in memory and by
+:func:`~repro.experiments.artifacts.metrics_key` on disk.
+
+:meth:`ExperimentRunner.run` is the one place a cell's result is reused
+and persisted: with a cache attached it serves a stored result when one
+exists and stores every result it simulates.  A warm cache therefore
+runs no simulations at all — not for requested cells and not for the
+derivation's profiling runs.  Stored results are exact restores
+(:meth:`SystemMetrics.from_snapshot
+<repro.sim.metrics.SystemMetrics.from_snapshot>`), checked with
+:meth:`SystemMetrics.verify <repro.sim.metrics.SystemMetrics.verify>`
+on the way in and on the way out, and every key carries a fingerprint
+of the code, so an edit to the program never serves a
+result the edited code would not produce.
 
 The derivation pipeline mirrors the paper's methodology:
 
@@ -39,10 +52,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
+import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.errors import AccountingError
 from repro.common.params import BASE_MACHINE, MachineParams
-from repro.experiments.artifacts import ArtifactCache, SimKey, stage_key
+from repro.experiments.artifacts import (ArtifactCache, SimKey,
+                                         machine_fingerprint, metrics_key,
+                                         stage_key)
 from repro.experiments.faults import RetryPolicy
 from repro.optim.hotspots import HotspotPrefetcher, find_hotspots
 from repro.optim.privatize import privatize_and_relocate
@@ -89,6 +106,9 @@ class ExperimentRunner:
         self.scale = scale
         self.seed = seed
         self.machine = machine
+        # Stored results are keyed by the machine the derivation profiles
+        # on (this one); fingerprinting it once keeps warm lookups cheap.
+        self._profiling_fingerprint = machine_fingerprint(machine)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.retry_policy = retry_policy
         self.ledger_path = ledger_path
@@ -228,15 +248,49 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def run(self, workload: str, config_name: str,
             machine: Optional[MachineParams] = None) -> SystemMetrics:
-        """Simulate *workload* under the named standard configuration."""
+        """Simulate *workload* under the named standard configuration.
+
+        A result already in memory or in the artifact store is served
+        without simulating; a freshly simulated one is verified
+        (:meth:`SystemMetrics.verify`) and stored.  A result that breaks
+        an accounting identity is still returned, but with a warning
+        and without being stored, so no later run is served it.
+        """
         machine = machine if machine is not None else self.machine
         key = SimKey.of(workload, config_name, machine)
-        if key in self._metrics:
-            return self._metrics[key]
-        config = resolve_config(config_name, machine)
-        metrics = self._run_config(workload, config)
+        metrics = self._metrics.get(key)
+        if metrics is None:
+            metrics = self.stored_result(key)
+        if metrics is None:
+            config = resolve_config(config_name, machine)
+            metrics = self._run_config(workload, config)
+            if self.cache is not None:
+                self._store_result(key, metrics)
         self._metrics[key] = metrics
         return metrics
+
+    def stored_result(self, key: SimKey) -> Optional[SystemMetrics]:
+        """The artifact store's result for cell *key*, or ``None``.
+
+        A stored entry that fails verification is quarantined by the
+        cache and reads as ``None``, so the caller re-simulates.
+        """
+        if self.cache is None:
+            return None
+        return self.cache.load_metrics(self._result_key(key))
+
+    def _store_result(self, key: SimKey, metrics: SystemMetrics) -> None:
+        try:
+            metrics.verify()
+        except AccountingError as err:
+            warnings.warn(f"{key.workload}/{key.config}: {err}; "
+                          f"result not stored", RuntimeWarning)
+            return
+        self.cache.store_metrics(self._result_key(key), metrics)
+
+    def _result_key(self, key: SimKey) -> str:
+        return metrics_key(self.scale, self.seed, key,
+                           self._profiling_fingerprint)
 
     def _run_config(self, workload: str,
                     config: SystemConfig) -> SystemMetrics:
@@ -263,11 +317,14 @@ class ExperimentRunner:
         """Run many (workload, config, machine) cells, in parallel when
         the runner was built with ``workers > 1``.
 
+        Cells whose result is in the artifact store are answered from it
+        before any engine job is planned (serially, each :meth:`run`
+        looks its cell up), so a warm sweep runs no simulations.
         Results are merged into the in-memory metrics cache, so later
         serial :meth:`run` calls (e.g. from table/figure builders) are
         cache hits.  The returned map covers exactly the requested
-        cells; its contents are independent of worker count and job
-        completion order.
+        cells; its contents are independent of worker count, job
+        completion order and cache temperature.
         """
         cells = [(w, c, m if m is not None else self.machine)
                  for (w, c, m) in cells]

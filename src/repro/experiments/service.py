@@ -13,9 +13,8 @@ cells a hybrid update/invalidate comparison needs — amortize all three:
   and across daemon restarts);
 * submissions land in a :class:`~repro.experiments.queue.JobQueue` and
   a dispatcher thread runs them FIFO, one engine ``execute()`` per
-  scale, with ``reuse_sims=True`` so repeat cells are served straight
-  from the store by :class:`~repro.experiments.artifacts.SimKey` —
-  bit-identically, because the cached snapshot round-trips through
+  scale, so repeat cells are served straight from the store by
+  :class:`~repro.experiments.artifacts.SimKey` — bit-identically, because the cached snapshot round-trips through
   :meth:`~repro.sim.metrics.SystemMetrics.from_snapshot`;
 * a small stdlib HTTP/JSON API exposes submit/status/results/cancel
   plus a progress stream backed by the per-job PR 5 run ledger.
@@ -189,7 +188,7 @@ class SweepService:
                     retry_policy=self.retry_policy,
                     ledger_path=job.ledger_path,
                     heartbeat_interval=self.heartbeat_interval,
-                    pool=self.pool, reuse_sims=True)
+                    pool=self.pool)
                 metrics = engine.execute(request.cells(scale),
                                          verbose=self.verbose,
                                          cancel=job.cancel_event)

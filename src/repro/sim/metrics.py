@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set
 
+from repro.common.errors import AccountingError
 from repro.common.types import MODE_BY_VALUE, DataClass, MissKind, Mode
 from repro.memsys.hierarchy import AccessResult
 from repro.memsys.sink import MemorySink, MissFlags
@@ -412,13 +413,14 @@ class SystemMetrics:
         """Rebuild a metrics object from a :meth:`snapshot` dump.
 
         Exact inverse: ``SystemMetrics.from_snapshot(m.snapshot())``
-        snapshots back to the same dictionary, bit for bit.  The
-        artifact cache persists simulation results as snapshots
-        (:meth:`repro.experiments.artifacts.ArtifactCache.store_metrics`),
-        so a warm sweep can serve a cell without re-simulating and still
-        satisfy the engine's bit-identical-results contract.  Raises
+        snapshots back to the same dictionary, bit for bit.  Counters
+        are rebuilt in payload order, which is the live object's
+        insertion order, so the restored object also reproduces
+        ``most_common`` tie order: it ranks hot spots and update-core
+        variables exactly as the live one did.  Raises
         ``KeyError``/``TypeError``/``ValueError`` on malformed input —
-        the cache layer quarantines the entry on any of those.
+        the cache layer quarantines the entry on any of those, and on a
+        well-shaped dump that fails :meth:`verify`.
         """
         metrics = cls(int(snap["num_cpus"]), int(snap["page_bytes"]))
         # snapshot() renders Counter keys through str(); invert that per
@@ -467,18 +469,53 @@ class SystemMetrics:
         metrics.cpu_end_times = [int(t) for t in snap["cpu_end_times"]]
         return metrics
 
-    def snapshot(self) -> Dict[str, object]:
-        """Canonical, order-independent dump of every measured quantity.
+    def verify(self) -> None:
+        """Check the exact accounting identities of a finished run.
 
-        Counters and sets are rendered as sorted structures so two
-        :class:`SystemMetrics` are equal *iff* their snapshots are — the
-        determinism tests use this to assert that serial and parallel
-        sweeps (and cold- vs warm-cache runs) produce bit-identical
-        results, independent of process boundaries and pickling.
+        * the per-kind bus traffic sums to the bus busy cycles;
+        * the OS miss taxonomy (Table 2) and the per-data-class OS miss
+          counts each sum to the OS read misses;
+        * no mode has more read misses than reads;
+        * hot-spot misses are a subset of the OS read misses;
+        * the bus is never busy longer than the run.
+
+        Cycle conservation (per-CPU end times summing to the attributed
+        cycles) is deliberately absent: the prefetching block-op schemes
+        break it today.  Raises :class:`AccountingError` naming the
+        first broken identity.
+        """
+        os_misses = self.read_misses[Mode.OS]
+        checks = [
+            ("bus_traffic", sum(self.bus_traffic.values()),
+             "==", self.bus_busy_cycles),
+            ("os_miss_kind", sum(self.os_miss_kind.values()),
+             "==", os_misses),
+            ("os_miss_dclass", sum(self.os_miss_dclass.values()),
+             "==", os_misses),
+            ("os_hotspot_misses", self.os_hotspot_misses, "<=", os_misses),
+            ("bus_busy_cycles", self.bus_busy_cycles, "<=", self.makespan),
+        ]
+        checks += [(f"read_misses[{mode.name}]", self.read_misses[mode],
+                    "<=", self.reads[mode]) for mode in Mode]
+        for identity, lhs, op, rhs in checks:
+            if not (lhs == rhs if op == "==" else lhs <= rhs):
+                raise AccountingError(
+                    f"accounting identity broken: {identity} = {lhs}, "
+                    f"expected {op} {rhs}", identity=identity)
+
+    def snapshot(self) -> Dict[str, object]:
+        """Plain-dict dump of every measured quantity.
+
+        Two :class:`SystemMetrics` are equal *iff* their snapshots
+        compare equal — the determinism tests use this to assert that
+        serial and parallel sweeps (and cold- vs warm-cache runs)
+        produce bit-identical results, independent of process
+        boundaries and pickling.  Counters keep their insertion order
+        (dict equality ignores it), which :meth:`from_snapshot` needs to
+        reproduce ``most_common`` tie order; the hot-spot set is sorted.
         """
         def counter(c: Counter) -> Dict[str, int]:
-            return {str(k): int(v) for k, v in sorted(
-                c.items(), key=lambda item: str(item[0]))}
+            return {str(k): int(v) for k, v in c.items()}
 
         return {
             "num_cpus": self.num_cpus,
@@ -509,10 +546,8 @@ class SystemMetrics:
             "os_hotspot_misses": self.os_hotspot_misses,
             "bus_busy_cycles": self.bus_busy_cycles,
             "bus_wait_cycles": self.bus_wait_cycles,
-            "bus_traffic": {k: self.bus_traffic[k]
-                            for k in sorted(self.bus_traffic)},
-            "bus_transactions": {k: self.bus_transactions[k]
-                                 for k in sorted(self.bus_transactions)},
+            "bus_traffic": counter(self.bus_traffic),
+            "bus_transactions": counter(self.bus_transactions),
             "updates_sent": self.updates_sent,
             "invalidations_sent": self.invalidations_sent,
             "cache_to_cache": self.cache_to_cache,

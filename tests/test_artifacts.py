@@ -8,7 +8,9 @@ import pytest
 
 from repro.common.params import BASE_MACHINE
 from repro.common.units import KB
+from repro.experiments import artifacts
 from repro.experiments.artifacts import (ArtifactCache, SimKey,
+                                         code_fingerprint,
                                          machine_fingerprint, metrics_key,
                                          stage_key)
 from repro.experiments.runner import ExperimentRunner
@@ -61,7 +63,10 @@ def test_stage_key_distinguishes_inputs():
 def _key_in_subprocess(_):
     return (stage_key("hotspots", 0.5, 1996, "Shell", machine=BASE_MACHINE,
                       extra={"count": 12}),
-            machine_fingerprint(BASE_MACHINE))
+            metrics_key(0.5, 1996, SimKey.of("Shell", "BCPref", BASE_MACHINE),
+                        machine_fingerprint(BASE_MACHINE)),
+            machine_fingerprint(BASE_MACHINE),
+            code_fingerprint())
 
 
 def test_keys_stable_across_processes():
@@ -70,6 +75,26 @@ def test_keys_stable_across_processes():
     with ProcessPoolExecutor(max_workers=2) as pool:
         children = list(pool.map(_key_in_subprocess, range(2)))
     assert children == [parent, parent]
+
+
+def test_code_fingerprint_changes_every_key(monkeypatch):
+    """An edit to the program moves traces, derived artifacts and
+    simulation results into a fresh key space."""
+    sim = SimKey.of("Shell", "Base", BASE_MACHINE)
+    profiling = machine_fingerprint(BASE_MACHINE)
+
+    def keys():
+        return (stage_key("trace", 0.5, 1996, "Shell"),
+                stage_key("hotspots", 0.5, 1996, "Shell",
+                          machine=BASE_MACHINE),
+                metrics_key(0.5, 1996, sim, profiling))
+
+    before = keys()
+    assert code_fingerprint() == code_fingerprint()
+    monkeypatch.setattr(artifacts, "code_fingerprint",
+                        lambda: "edited-program")
+    after = keys()
+    assert all(a != b for a, b in zip(before, after))
 
 
 def test_simkey_is_typed_and_hashable():

@@ -8,6 +8,7 @@ with the recovery visible in the JSONL run ledger.
 """
 
 import glob
+import json
 import os
 
 import pytest
@@ -44,6 +45,18 @@ def clean_serial():
     """Golden snapshot: the sweep run serially, in-process, no faults."""
     runner = ExperimentRunner(scale=SCALE, seed=SEED)
     return _snapshots(runner.run_cells(CELLS))
+
+
+def _drop_stored_results(cache_dir):
+    """Delete every stored simulation result (and its hash sidecar), so
+    the next sweep plans jobs again instead of serving the cells."""
+    for path in glob.glob(str(cache_dir / "v1" / "*" / "*.json")):
+        with open(path) as fp:
+            if json.load(fp)["stage"] != "metrics":
+                continue
+        os.unlink(path)
+        if os.path.exists(path + ".sha256"):
+            os.unlink(path + ".sha256")
 
 
 def _engine(tmp_path, policy, fault_dir=None, workers=2):
@@ -142,6 +155,8 @@ def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
         byte = fp.read(1)
         fp.seek(50)
         fp.write(bytes([byte[0] ^ 0xFF]))
+    # Stored results would answer both cells without reading the trace.
+    _drop_stored_results(tmp_path / "cache")
 
     engine = _engine(tmp_path, RetryPolicy(**FAST))
     results = engine.execute(CELLS)

@@ -250,7 +250,8 @@ def test_corrupt_artifact_event_reaches_sweep_ledger(tmp_path):
         fp.seek(64)
         fp.write(bytes([byte[0] ^ 0xFF]))
     fresh = _engine(tmp_path, workers=1, heartbeat_interval=None)
-    fresh.execute(CELLS)
+    # A cell with no stored result, so its sim job must read the trace.
+    fresh.execute([("Shell", "Blk_Bypass", None)])
     names = _events(fresh.ledger_path)
     assert "artifact_corrupt" in names
     assert "quarantined" in names  # the engine-side summary event too
