@@ -10,6 +10,11 @@ Modes::
         shrunk to a minimal trace, saved, and reported with the exact
         replay command.  Exit 1 on any failure.
 
+    python -m repro.check --rounds 60 --cpus 8 --assoc 2
+        The same fuzz on a wider, set-associative machine: the machine
+        always has the case's CPU count, and ``--assoc`` sets the
+        associativity of all three caches.
+
     python -m repro.check --mutants --seed 0
         Detection power: every registered protocol mutant must be caught
         by the checker within a bounded number of rounds under the
@@ -69,11 +74,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             if done % 20 == 0 or done == args.rounds:
                 print(f"  {done}/{args.rounds} rounds clean")
     print(f"fuzzing {args.rounds} rounds, seed {args.seed}, "
-          f"{args.cpus} cpus, configs: "
+          f"{args.cpus} cpus, {args.assoc}-way caches, configs: "
           f"{','.join(configs or fuzz.fuzz_configs())}")
     failure = fuzz.run_fuzz(args.rounds, args.seed, configs,
                             num_cpus=args.cpus, length=args.length,
-                            progress=progress)
+                            progress=progress, assoc=args.assoc)
     if failure is None:
         print(f"OK: {args.rounds} rounds, no conformance violation")
         return 0
@@ -91,7 +96,8 @@ def cmd_mutants(args: argparse.Namespace) -> int:
             rounds = i + 1
             case = fuzz.generate_case(args.seed + i, num_cpus=args.cpus,
                                       length=args.length,
-                                      race_free=i % 2 == 0)
+                                      race_free=i % 2 == 0,
+                                      assoc=args.assoc)
             for config_name in config_names:
                 result = fuzz.run_case(case, config_name, mutant_name=name)
                 if result.error is not None:
@@ -168,7 +174,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rounds", type=int, default=50,
                         help="fuzz rounds (default 50)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cpus", type=int, default=4)
+    parser.add_argument("--cpus", type=int, default=4,
+                        help="processors per generated case; the machine "
+                             "is sized to match (default 4)")
+    parser.add_argument("--assoc", type=int, default=1,
+                        help="set associativity of every cache in the "
+                             "fuzzed machine (default 1, direct-mapped)")
     parser.add_argument("--length", type=int, default=24,
                         help="events per CPU per generated case")
     parser.add_argument("--configs", default="",

@@ -21,22 +21,29 @@ Address map (disjoint regions keep the failure modes separable):
 ``0x010000``       instruction addresses (per-CPU 4 KiB slices)
 ``0x040000``       shared words — 3 L2 lines, true *and* false sharing
 ``0x080000``       per-CPU private words (64 KiB slices)
-``0x200000``       per-CPU block-op source regions
-``0x300000``       per-CPU block-op destination regions
 ``0x500000``       the Firefly update page: shared words in the first
                    half, per-CPU block-op destination slices in the rest
 ``0x600000``       lock words;  ``0x610000`` the barrier word
+``0x1000000``      per-CPU block-op source regions (256 KiB slices)
+``0x2000000``      per-CPU block-op destination regions (256 KiB slices)
+``0x3000000``      the block-op destination region all CPUs share
 =================  ====================================================
+
+Every per-CPU slice is spaced for ``MAX_CPUS`` processors, so the
+regions stay disjoint on any machine the simulator accepts.  A case runs
+on ``machine_for(num_cpus, assoc=...)``: the machine is sized from the
+trace, and the associativity travels with the case.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.common.errors import ConformanceError
-from repro.common.params import machine_for
+from repro.common.params import MAX_CPUS, machine_for
 from repro.check.mutants import MUTANTS
 from repro.sim.config import all_configs
 from repro.trace import record as rec
@@ -48,14 +55,20 @@ WORD = 4
 PC_BASE = 0x010000
 SHARED_BASE = 0x040000
 PRIVATE_BASE = 0x080000
-BLOCK_SRC_BASE = 0x200000
-BLOCK_DST_BASE = 0x300000
+BLOCK_SRC_BASE = 0x1000000
+BLOCK_DST_BASE = 0x2000000
+#: Stride between consecutive CPUs' block-op source (and destination)
+#: slices; ``MAX_CPUS`` slices fit below the next region.
+BLOCK_SLICE = 0x40000
 #: Block-op destination region shared by ALL CPUs — only used on racy
 #: rounds, where overlapping block ops race their store registers / DMA
 #: transfers on the same lines (bypassed writes commit at flush time, a
 #: class of bug only cross-CPU dst contention exposes).
-SHARED_DST_BASE = 0x380000
+SHARED_DST_BASE = 0x3000000
 UPDATE_PAGE = 0x500000
+#: Per-CPU block-op destination slice in the update page's second half:
+#: ``MAX_CPUS`` slices of 64 bytes, the largest block op aimed there.
+UPDATE_DST_SLICE = 2048 // MAX_CPUS
 LOCK_BASE = 0x600000
 BARRIER_ADDR = 0x610000
 
@@ -72,6 +85,7 @@ META_CONFIG = "check_config"
 META_UPDATE_PAGES = "check_update_pages"
 META_MUTANT = "check_mutant"
 META_SEED = "check_seed"
+META_ASSOC = "check_assoc"
 
 
 def fuzz_configs() -> List[str]:
@@ -90,29 +104,32 @@ def sync_words() -> List[int]:
 
 
 class FuzzCase:
-    """One generated scenario: per-CPU event lists plus its provenance."""
+    """One generated scenario: per-CPU event lists plus its provenance,
+    and the cache associativity of the machine it runs on."""
 
-    __slots__ = ("num_cpus", "events", "seed", "race_free")
+    __slots__ = ("num_cpus", "events", "seed", "race_free", "assoc")
 
     def __init__(self, num_cpus: int, events: List[List[tuple]],
-                 seed: int, race_free: bool) -> None:
+                 seed: int, race_free: bool, assoc: int = 1) -> None:
         self.num_cpus = num_cpus
         self.events = events
         self.seed = seed
         self.race_free = race_free
+        self.assoc = assoc
 
     def __len__(self) -> int:
         return sum(len(evs) for evs in self.events)
 
     def replaced(self, events: List[List[tuple]]) -> "FuzzCase":
-        return FuzzCase(self.num_cpus, events, self.seed, self.race_free)
+        return FuzzCase(self.num_cpus, events, self.seed, self.race_free,
+                        self.assoc)
 
 
 # ======================================================================
 # Generation
 # ======================================================================
 def generate_case(seed: int, num_cpus: int = 4, length: int = 24,
-                  race_free: bool = True) -> FuzzCase:
+                  race_free: bool = True, assoc: int = 1) -> FuzzCase:
     """Build one adversarial case from *seed*, reproducibly.
 
     ``race_free`` restricts every data word to a single writing CPU, which
@@ -139,9 +156,9 @@ def generate_case(seed: int, num_cpus: int = 4, length: int = 24,
     for cpu in range(num_cpus):
         private = [PRIVATE_BASE + cpu * 0x10000 + i * WORD
                    for i in range(PRIVATE_WORDS)]
-        src_base = BLOCK_SRC_BASE + cpu * 0x40000
-        dst_base = BLOCK_DST_BASE + cpu * 0x40000
-        update_dst = UPDATE_PAGE + 2048 + cpu * 256
+        src_base = BLOCK_SRC_BASE + cpu * BLOCK_SLICE
+        dst_base = BLOCK_DST_BASE + cpu * BLOCK_SLICE
+        update_dst = UPDATE_PAGE + 2048 + cpu * UPDATE_DST_SLICE
         for _ in range(length):
             roll = rng.random()
             pc = pc_for(cpu)
@@ -171,7 +188,7 @@ def generate_case(seed: int, num_cpus: int = 4, length: int = 24,
                 roll2 = rng.random()
                 if roll2 < 0.25:
                     dst = update_dst
-                    size = min(size, 64)
+                    size = min(size, UPDATE_DST_SLICE)
                 elif not race_free and roll2 < 0.55:
                     dst = SHARED_DST_BASE + rng.randrange(4) * 128
                 else:
@@ -186,7 +203,7 @@ def generate_case(seed: int, num_cpus: int = 4, length: int = 24,
                 size = rng.choice((16, 32, 64, 128))
                 roll2 = rng.random()
                 if roll2 < 0.25:
-                    dst, size = update_dst, min(size, 64)
+                    dst, size = update_dst, min(size, UPDATE_DST_SLICE)
                 elif not race_free and roll2 < 0.55:
                     dst = SHARED_DST_BASE + rng.randrange(4) * 128
                 else:
@@ -210,7 +227,7 @@ def generate_case(seed: int, num_cpus: int = 4, length: int = 24,
         for cpu in range(num_cpus):
             pos = rng.randrange(len(events[cpu]) + 1)
             events[cpu].insert(pos, ("barrier", BARRIER_ADDR, pc_for(cpu)))
-    return FuzzCase(num_cpus, events, seed, race_free)
+    return FuzzCase(num_cpus, events, seed, race_free, assoc)
 
 
 def build_trace(case: FuzzCase) -> Trace:
@@ -221,6 +238,7 @@ def build_trace(case: FuzzCase) -> Trace:
             _emit(builder, cpu, ev)
     trace = builder.build(validate=True)
     trace.metadata[META_SEED] = case.seed
+    trace.metadata[META_ASSOC] = case.assoc
     return trace
 
 
@@ -269,15 +287,21 @@ class CaseResult:
 
 
 def run_trace(trace: Trace, config_name: str, *,
-              mutant_name: str = "") -> CaseResult:
-    """Simulate *trace* under *config_name* with the checker armed."""
+              mutant_name: str = "",
+              update_pages: Sequence[int] = (UPDATE_PAGE,)) -> CaseResult:
+    """Simulate *trace* under *config_name* with the checker armed.
+
+    The machine has the trace's CPU count and the associativity recorded
+    in its metadata (direct-mapped when absent).
+    """
     from repro.sim.system import MultiprocessorSystem
-    config = all_configs()[config_name]
+    assoc = int(trace.metadata.get(META_ASSOC, 1))
+    config = all_configs(machine_for(trace.num_cpus, assoc=assoc))[config_name]
     ctx = (MUTANTS[mutant_name][0]() if mutant_name
            else contextlib.nullcontext())
     with ctx:
         system = MultiprocessorSystem(trace, config,
-                                      update_pages=[UPDATE_PAGE],
+                                      update_pages=list(update_pages),
                                       check=True)
         try:
             system.run()
@@ -310,13 +334,14 @@ class FuzzFailure:
 
 
 def fuzz_round(seed: int, configs: Optional[List[str]] = None,
-               num_cpus: int = 4, length: int = 24) -> Optional[FuzzFailure]:
+               num_cpus: int = 4, length: int = 24,
+               assoc: int = 1) -> Optional[FuzzFailure]:
     """One round: every scheme runs the same case; race-free rounds also
     diff each scheme's final architectural memory against Base."""
     configs = configs or fuzz_configs()
     race_free = seed % 2 == 0
     case = generate_case(seed, num_cpus=num_cpus, length=length,
-                         race_free=race_free)
+                         race_free=race_free, assoc=assoc)
     memories: Dict[str, Dict[int, object]] = {}
     for name in configs:
         result = run_case(case, name)
@@ -341,10 +366,10 @@ def fuzz_round(seed: int, configs: Optional[List[str]] = None,
 def run_fuzz(rounds: int, seed: int, configs: Optional[List[str]] = None,
              num_cpus: int = 4, length: int = 24,
              progress: Optional[Callable[[int], None]] = None,
-             ) -> Optional[FuzzFailure]:
+             assoc: int = 1) -> Optional[FuzzFailure]:
     """Run *rounds* fuzz rounds; returns the first failure, if any."""
     for i in range(rounds):
-        failure = fuzz_round(seed + i, configs, num_cpus, length)
+        failure = fuzz_round(seed + i, configs, num_cpus, length, assoc)
         if failure is not None:
             return failure
         if progress is not None:
@@ -562,22 +587,9 @@ def save_failure(failure: FuzzFailure, case: FuzzCase, path: str) -> None:
 
 def replay(path: str) -> CaseResult:
     """Re-run a saved failing trace exactly as it was recorded."""
-    from repro.sim.system import MultiprocessorSystem
     with open(path) as fp:
         trace = textio.load(fp)
-    config_name = str(trace.metadata.get(META_CONFIG, "Base"))
-    mutant_name = str(trace.metadata.get(META_MUTANT, ""))
     pages = trace.metadata.get(META_UPDATE_PAGES, [UPDATE_PAGE])
-    config = all_configs(machine_for(trace.num_cpus))[config_name]
-    ctx = (MUTANTS[mutant_name][0]() if mutant_name
-           else contextlib.nullcontext())
-    with ctx:
-        system = MultiprocessorSystem(trace, config,
-                                      update_pages=[int(p) for p in pages],
-                                      check=True)
-        try:
-            system.run()
-        except ConformanceError as err:
-            return CaseResult(err, None, system.checker.accesses_checked)
-        memory = system.checker.architectural_memory(exclude=sync_words())
-        return CaseResult(None, memory, system.checker.accesses_checked)
+    return run_trace(trace, str(trace.metadata.get(META_CONFIG, "Base")),
+                     mutant_name=str(trace.metadata.get(META_MUTANT, "")),
+                     update_pages=[int(p) for p in pages])

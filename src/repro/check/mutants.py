@@ -115,15 +115,10 @@ def lost_dirty_bit() -> Iterator[None]:
     orig = CpuMemorySystem._drain_word
 
     def _drain_word(self, addr, start):
-        l2 = self.l2
-        line = addr - addr % l2.line_bytes
-        idx = (line // l2.line_bytes) % l2.num_lines
-        if l2.tags[idx] == line:
-            state = l2.states[idx]
-            if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                # BUG: the E->M transition is dropped.
-                return start + self.machine.write_buffers.l1_drain_cycles
         state = self.l2.state_of(addr)
+        if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
+            # BUG: the E->M transition is dropped.
+            return start + self.machine.write_buffers.l1_drain_cycles
         controller = self.controller
         if state == LineState.SHARED:
             if controller.is_update_addr(addr):

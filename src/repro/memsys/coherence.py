@@ -29,7 +29,7 @@ the invalidate route is the unmodified MESI path.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.params import MachineParams
@@ -59,6 +59,9 @@ class CoherenceController:
         self.machine = machine
         self.bus = bus
         self.ports: List[_CpuPort] = []
+        #: ``(cpu, frame_of, states)`` of every L2, bound once for the
+        #: snoop loops.  Each cache mutates its map and state list in place.
+        self._snoop: List[Tuple[int, Dict[int, int], List[LineState]]] = []
         #: Conformance checker (:mod:`repro.check`), or None.  The hook
         #: calls below are all on miss/bus paths, so the disabled cost is
         #: one attribute test per bus-level operation.
@@ -89,8 +92,10 @@ class CoherenceController:
     def attach(self, l1i: DirectMappedCache, l1d: DirectMappedCache,
                l2: CoherentCache, sink: MemorySink) -> int:
         """Register one CPU's caches; returns its id."""
+        cpu = len(self.ports)
         self.ports.append(_CpuPort(l1i, l1d, l2, sink))
-        return len(self.ports) - 1
+        self._snoop.append((cpu, l2.frame_of, l2.states))
+        return cpu
 
     def set_update_pages(self, pages: Iterable[int]) -> None:
         """Run Firefly update on the given page-aligned addresses."""
@@ -112,13 +117,26 @@ class CoherenceController:
         return addr - (addr % self.machine.l2.line_bytes)
 
     def _holders(self, line: int, except_cpu: int) -> List[int]:
-        """CPUs (other than *except_cpu*) whose L2 holds *line*."""
-        return [i for i, p in enumerate(self.ports)
-                if i != except_cpu and p.l2.state_of(line) != LineState.INVALID]
+        """CPUs (other than *except_cpu*) whose L2 holds *line* valid.
+
+        Exactly the CPUs whose ``l2.state_of(line) != INVALID``: one
+        resident-line map probe per L2, and a frame that holds the tag
+        in state INVALID does not count.
+        """
+        holders = []
+        for i, frame_of, states in self._snoop:
+            idx = frame_of.get(line)
+            if (idx is not None and i != except_cpu
+                    and states[idx] != LineState.INVALID):
+                holders.append(i)
+        return holders
 
     def _dirty_holder(self, line: int, except_cpu: int) -> Optional[int]:
-        for i, p in enumerate(self.ports):
-            if i != except_cpu and p.l2.state_of(line) == LineState.MODIFIED:
+        """First CPU (other than *except_cpu*) holding *line* MODIFIED."""
+        for i, frame_of, states in self._snoop:
+            idx = frame_of.get(line)
+            if (idx is not None and i != except_cpu
+                    and states[idx] == LineState.MODIFIED):
                 return i
         return None
 
@@ -396,14 +414,14 @@ class CoherenceController:
         after writing back; clean copies are untouched.
         """
         line = self._l2_line(line_addr)
-        for i, port in enumerate(self.ports):
-            if port.l2.state_of(line) == LineState.MODIFIED:
-                if self.checker is not None:
-                    self.checker.writeback(i, line)
-                port.l2.set_state(line, LineState.SHARED)
-                self.cache_to_cache += 1
-                return True
-        return False
+        dirty = self._dirty_holder(line, -1)
+        if dirty is None:
+            return False
+        if self.checker is not None:
+            self.checker.writeback(dirty, line)
+        self.ports[dirty].l2.set_state(line, LineState.SHARED)
+        self.cache_to_cache += 1
+        return True
 
     def dma_update_dst(self, cpu: int, line_addr: int) -> int:
         """Snoop a DMA destination line: update cached copies in place.
@@ -414,19 +432,17 @@ class CoherenceController:
         held the line (each slows the transfer slightly).
         """
         line = self._l2_line(line_addr)
-        holders = 0
+        holders = self._holders(line, -1)
         checker = self.checker
-        for i, port in enumerate(self.ports):
-            if port.l2.state_of(line) != LineState.INVALID:
-                if (checker is not None
-                        and port.l2.state_of(line) == LineState.MODIFIED):
-                    # A dirty holder flushes the line before the in-place
-                    # update, so dirty words outside the transferred range
-                    # survive the drop to SHARED.
-                    checker.writeback(i, line)
-                port.l2.set_state(line, LineState.SHARED)
-                holders += 1
-        return holders
+        for i in holders:
+            l2 = self.ports[i].l2
+            if checker is not None and l2.state_of(line) == LineState.MODIFIED:
+                # A dirty holder flushes the line before the in-place
+                # update, so dirty words outside the transferred range
+                # survive the drop to SHARED.
+                checker.writeback(i, line)
+            l2.set_state(line, LineState.SHARED)
+        return len(holders)
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests)

@@ -89,12 +89,6 @@ class CpuMemorySystem:
         #: Set by the processor while a block operation is in progress; the
         #: sink uses it to distinguish *inside* displacement misses.
         self.in_blockop = False
-        #: LRU-promotion hooks, ``None`` on direct-mapped caches where
-        #: ``touch`` is a no-op: an attribute test per hit is cheaper
-        #: than a no-op method call on the miss-handling paths.
-        self._touch_l1i = self.l1i.touch if machine.l1i.assoc != 1 else None
-        self._touch_l1d = self.l1d.touch if machine.l1d.assoc != 1 else None
-        self._touch_l2 = self.l2.touch if machine.l2.assoc != 1 else None
         self.cpu_id = controller.attach(self.l1i, self.l1d, self.l2, self.sink)
 
     # ------------------------------------------------------------------
@@ -111,9 +105,7 @@ class CpuMemorySystem:
     def _fetch_for_read(self, addr: int, t: int,
                         kind: BusOp = BusOp.READ_MEM) -> "tuple[int, str]":
         """Bring *addr* to readable state at L2; return (ready, level)."""
-        if self.l2.state_of(addr) != LineState.INVALID:
-            if self._touch_l2 is not None:
-                self._touch_l2(addr)
+        if self.l2.touch_state(addr) != LineState.INVALID:
             return t + self.machine.l2_hit_cycles, LEVEL_L2
         ready = self.controller.fetch_shared(self.cpu_id, addr, t, kind)
         return ready, LEVEL_MEM
@@ -124,9 +116,7 @@ class CpuMemorySystem:
     def read(self, addr: int, t: int) -> AccessResult:
         """Demand data read at time *t*."""
         line = self.l1d.line_addr(addr)
-        if self.l1d.present(addr):
-            if self._touch_l1d is not None:
-                self._touch_l1d(addr)
+        if self.l1d.touch(addr):
             remaining = self.pending.consume(line, t)
             if remaining:
                 # Prefetch in flight: partially hidden; the paper still
@@ -143,14 +133,12 @@ class CpuMemorySystem:
 
     def write(self, addr: int, t: int) -> AccessResult:
         """Data write at time *t* (write-through, write-allocate L1)."""
-        hit = self.l1d.present(addr)
+        hit = self.l1d.touch(addr)
         if not hit:
             # Write-allocate: the fill overlaps the buffered write, so the
             # processor does not wait for it; ownership is acquired on the
             # drain path below.
             self._l1_fill(addr)
-        elif self._touch_l1d is not None:
-            self._touch_l1d(addr)
         insert_t, stall = self.wb1.enqueue(t, lambda s: self._drain_word(addr, s))
         return AccessResult(insert_t + 1, stall=stall, miss=not hit,
                             level=LEVEL_WB)
@@ -168,9 +156,7 @@ class CpuMemorySystem:
             # Set-associative machines skip the direct-indexed probes and
             # the fused owned-L2 drain below; replacement bookkeeping goes
             # through the cache's own API.
-            if l1d.present(addr):
-                l1d.touch(addr)
-            else:
+            if not l1d.touch(addr):
                 self._l1_fill(addr)
             insert_t, stall = self.wb1.enqueue(
                 t, lambda s: self._drain_word(addr, s))
@@ -226,7 +212,7 @@ class CpuMemorySystem:
         """Retire one word from WB1 into the L2 / bus.  Returns completion."""
         # Owned line in the L2 (the common case): one fused tag/state
         # probe instead of a state_of + set_state pair.  Set-associative
-        # L2s take the API path so the LRU stamp moves with the drain.
+        # L2s fuse it in write_owned, which also moves the LRU stamp.
         l2 = self.l2
         if l2.assoc == 1:
             line = addr - addr % l2.line_bytes
@@ -237,12 +223,8 @@ class CpuMemorySystem:
                     l2.states[idx] = LineState.MODIFIED
                     l2.states_np[idx] = 3
                     return start + self.machine.write_buffers.l1_drain_cycles
-        else:
-            state = l2.state_of(addr)
-            if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                l2.set_state(addr, LineState.MODIFIED)
-                l2.touch(addr)
-                return start + self.machine.write_buffers.l1_drain_cycles
+        elif l2.write_owned(addr):
+            return start + self.machine.write_buffers.l1_drain_cycles
         state = self.l2.state_of(addr)
         controller = self.controller
         if state == LineState.SHARED:
@@ -275,18 +257,14 @@ class CpuMemorySystem:
             return 0
         stall = 0
         while line < end:
-            if not l1i.present(line):
-                if self.l2.state_of(line) != LineState.INVALID:
-                    if self._touch_l2 is not None:
-                        self._touch_l2(line)
+            if not l1i.touch(line):
+                if self.l2.touch_state(line) != LineState.INVALID:
                     stall += self.machine.l2_hit_cycles - 1
                 else:
                     ready = self.controller.fetch_shared(
                         self.cpu_id, line, t + stall, BusOp.READ_MEM)
                     stall += ready - (t + stall)
                 l1i.fill(line)
-            elif self._touch_l1i is not None:
-                self._touch_l1i(line)
             line += line_bytes
         return stall
 
@@ -312,9 +290,7 @@ class CpuMemorySystem:
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr) or self.pref_buffer.contains(line):
             return
-        if self.l2.state_of(addr) != LineState.INVALID:
-            if self._touch_l2 is not None:
-                self._touch_l2(addr)
+        if self.l2.touch_state(addr) != LineState.INVALID:
             ready = t + self.machine.l2_hit_cycles
         else:
             ready = self.controller.read_nofill(self.cpu_id, addr, t,
@@ -351,9 +327,7 @@ class CpuMemorySystem:
             return AccessResult(t + 1, level=LEVEL_REGISTER)
         # New source line: fetch into the line register, never the caches.
         flags = self.sink.consume_miss_flags(line)
-        if self.l2.state_of(addr) != LineState.INVALID:
-            if self._touch_l2 is not None:
-                self._touch_l2(addr)
+        if self.l2.touch_state(addr) != LineState.INVALID:
             ready = t + self.machine.l2_hit_cycles
             level = LEVEL_L2
         else:

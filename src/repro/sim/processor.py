@@ -20,7 +20,9 @@ it runs once per trace record across every experiment cell.  It therefore:
   scheme-specific block-op handling) inline against the bound L1 tag
   array, without entering the :class:`CpuMemorySystem` call chain — the
   overwhelming majority of references in the paper's workloads are such
-  hits (Table 2 reports low miss rates on every machine);
+  hits (Table 2 reports low miss rates on every machine).  On a
+  set-associative L1 the same hit is one bound ``touch`` call: a
+  resident-line map probe that also promotes the line's LRU stamp;
 * routes writes through :meth:`CpuMemorySystem.write_cycles`, which skips
   the :class:`AccessResult` wrapper the write accounting never reads;
 * converts record fields to enum members through precomputed lookup
@@ -148,18 +150,22 @@ class Processor:
         self._l1i_line_bytes = mem.l1i.line_bytes
         self._l1i_sets = mem.l1i.num_lines
         # Set-associative L1s cannot use the direct-indexed inline probes
-        # in step() (the flat set-major tag array would alias, and a hit
-        # must promote the line's LRU stamp).  Bind a one-entry sentinel
-        # array holding -2 — no line address is negative, so the probe
-        # always misses and every access routes through mem.read/ifetch,
-        # which do the per-way lookup and the touch.  This also keeps
-        # checker-armed and unarmed runs on the same touch sequence.
+        # in step() (the flat set-major tag array would alias), so they
+        # bind a one-entry sentinel array holding -2: no line address is
+        # negative, so that probe always misses.  step() then resolves
+        # their hits through ``touch`` (``_l1_touch``/``_l1i_touch``,
+        # None on direct-mapped caches): one resident-line map probe
+        # that also promotes the line's LRU stamp, exactly as the
+        # mem.read/ifetch chain would.
+        self._l1_touch = self._l1i_touch = None
         if mem.l1d.assoc != 1:
             self._l1_tags = [-2]
             self._l1_sets = 1
+            self._l1_touch = mem.l1d.touch
         if mem.l1i.assoc != 1:
             self._l1i_tags = [-2]
             self._l1i_sets = 1
+            self._l1i_touch = mem.l1i.touch
         self._l1_hit = mem.machine.l1_hit_cycles
         self._pending_ready = mem.pending.ready
         self._time = metrics.time
@@ -233,6 +239,10 @@ class Processor:
                     and self._l1i_tags[(iline // i_bytes) % self._l1i_sets]
                     == iline):
                 istall = 0
+            elif (self._l1i_touch is not None
+                    and pc + 4 * icount <= iline + i_bytes
+                    and self._l1i_touch(iline)):
+                istall = 0
             else:
                 istall = self.mem.ifetch(pc, icount, t)
         else:
@@ -250,6 +260,16 @@ class Processor:
                     == line
                     and line not in self._pending_ready):
                 # Clean L1D hit: one read for this mode, zero stall.
+                self._reads[mode] += 1
+                exec_cycles += 1
+                t += self._l1_hit
+            elif (self._l1_touch is not None
+                    and (blk is None or not rec.blockop
+                         or self._blk_read_plain)
+                    and line not in self._pending_ready
+                    and self._l1_touch(line)):
+                # The same clean hit in a set-associative L1D.  The
+                # pending test comes first: touch() promotes the line.
                 self._reads[mode] += 1
                 exec_cycles += 1
                 t += self._l1_hit

@@ -315,9 +315,17 @@ class MultiprocessorSystem:
         return self._finalize()
 
     def _finalize(self) -> SystemMetrics:
+        """Close the books on a finished run.
+
+        Every run path ends here, so :meth:`SystemMetrics.verify` checks
+        the accounting identities of every live result: a run that
+        breaks one raises :class:`~repro.common.errors.AccountingError`
+        instead of returning metrics.
+        """
         self.metrics.finalize([p.time for p in self.processors])
         self.metrics.capture_system_stats(self.bus, self.controller,
                                           self.locks, self.barriers)
+        self.metrics.verify()
         return self.metrics
 
     def _spin(self, proc: Processor, lock_addr: int,

@@ -15,6 +15,7 @@ import pytest
 from repro.check import REPRO_CHECK_ENV
 from repro.check import fuzz
 from repro.common.errors import ConformanceError
+from repro.common.params import BASE_MACHINE, MAX_CPUS
 from repro.sim.config import standard_configs
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.trace import record as rec
@@ -152,6 +153,77 @@ def test_racing_bypass_registers_commit_in_flush_order():
 def test_fuzz_rounds_clean():
     for seed in (0, 1):
         assert fuzz.fuzz_round(seed, num_cpus=2, length=8) is None
+
+
+def _per_cpu_lines(case, line_bytes):
+    """Per CPU, the L2 lines of its private words and block operations:
+    everything but the shared words, the update page's shared half, and
+    the lock and barrier words, which race-free rounds share on
+    purpose."""
+    def shared(addr):
+        return (addr < fuzz.PRIVATE_BASE
+                or fuzz.UPDATE_PAGE <= addr < fuzz.UPDATE_PAGE + 2048
+                or fuzz.LOCK_BASE <= addr <= fuzz.BARRIER_ADDR)
+
+    def ranges(ev):
+        if ev[0] in ("read", "write"):
+            yield ev[1], fuzz.WORD
+        elif ev[0] == "copy":
+            yield ev[1], ev[3]
+            yield ev[2], ev[3]
+        elif ev[0] == "zero":
+            yield ev[1], ev[2]
+        elif ev[0] == "lock":
+            for inner in ev[3]:
+                yield from ranges(inner)
+
+    per_cpu = []
+    for events in case.events:
+        lines = set()
+        for ev in events:
+            for base, size in ranges(ev):
+                if not shared(base):
+                    first = base - base % line_bytes
+                    lines.update(range(first, base + size, line_bytes))
+        per_cpu.append(lines)
+    return per_cpu
+
+
+def test_per_cpu_regions_disjoint_at_max_cpus():
+    """Race-free rounds stay race-free on the widest machine: no line of
+    one CPU's private words or block operations is touched by another
+    CPU (the block-op slices used to collide from CPU 4 on)."""
+    line_bytes = BASE_MACHINE.l2.line_bytes
+    for seed in (0, 2, 4):
+        case = fuzz.generate_case(seed, num_cpus=MAX_CPUS, race_free=True)
+        per_cpu = _per_cpu_lines(case, line_bytes)
+        seen = {}
+        for cpu, lines in enumerate(per_cpu):
+            for line in lines:
+                assert seen.setdefault(line, cpu) == cpu, (
+                    f"seed {seed}: line {line:#x} used by cpus "
+                    f"{seen[line]} and {cpu}")
+
+
+@pytest.mark.parametrize("assoc", [1, 2])
+def test_fuzz_rounds_clean_on_8_cpus(assoc):
+    """The machine is sized from the case, so wide cases run (they
+    used to fail with 'trace has 8 CPUs, machine only 4')."""
+    assert fuzz.run_fuzz(2, seed=0, num_cpus=8, length=12,
+                         assoc=assoc) is None
+
+
+def test_case_associativity_travels_with_saved_failure(tmp_path):
+    case = fuzz.generate_case(3, num_cpus=8, length=6, assoc=2)
+    assert case.replaced(case.events).assoc == 2
+    failure = fuzz.FuzzFailure(case, "Blk_Dma", "",
+                               ConformanceError("probe", kind="probe"))
+    path = tmp_path / "wide.txt"
+    fuzz.save_failure(failure, case, str(path))
+    from repro.trace import textio
+    with open(path) as fp:
+        assert textio.load(fp).metadata[fuzz.META_ASSOC] == 2
+    assert fuzz.replay(str(path)).ok
 
 
 @pytest.mark.slow

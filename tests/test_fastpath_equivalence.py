@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.params import BASE_MACHINE
+from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.types import DataClass, Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
@@ -168,6 +168,42 @@ class TestL1FastPathEquivalence:
             proc._pending_ready = _AlwaysPending()
         slow = slow_sys.run().snapshot()
         assert fast == slow
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("cpus,assoc", [(4, 2), (8, 4)])
+    def test_setassoc_inline_hits_match_slow_path(self, cpus, assoc,
+                                                  scheme):
+        """The set-associative inline hits equal the full call chain.
+
+        On set-associative L1s ``step`` resolves clean L1D read hits and
+        single-line L1I fetch hits through ``touch``, which probes the
+        resident-line map and promotes the LRU stamp.  The slow system
+        sends every read down :meth:`CpuMemorySystem.read` and every
+        fetch down :meth:`CpuMemorySystem.ifetch`; any divergence in
+        recency bookkeeping shows up as different victims, hence a
+        different snapshot.
+        """
+        config = all_configs(machine_for(cpus, assoc=assoc))[scheme]
+        trace = random_trace(cpus + assoc, num_cpus=cpus)
+        fast_sys = MultiprocessorSystem(trace, config)
+        slow_reads = []
+        for mem in fast_sys.memories:
+            orig = mem.read
+
+            def read(addr, t, orig=orig):
+                slow_reads.append(addr)
+                return orig(addr, t)
+
+            mem.read = read
+        fast = fast_sys.run().snapshot()
+        slow_sys = MultiprocessorSystem(trace, config)
+        for proc in slow_sys.processors:
+            proc._pending_ready = _AlwaysPending()
+            proc._l1i_touch = None
+        slow = slow_sys.run().snapshot()
+        assert fast == slow
+        # The inline path really ran: some reads never entered mem.read.
+        assert len(slow_reads) < sum(fast["reads"].values())
 
     def test_write_cycles_matches_write(self):
         """``write_cycles`` must mirror ``write`` result-for-result."""

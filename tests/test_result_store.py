@@ -216,6 +216,22 @@ def test_live_results_satisfy_identities(cold):
     SystemMetrics(4).verify()  # an empty run is trivially consistent
 
 
+@pytest.mark.parametrize("scheduler", ["run", "run_scan"])
+def test_live_run_verifies_its_metrics(scheduler):
+    """Every live run checks the identities after finalize: metrics
+    skewed before the run ends raise instead of being returned."""
+    from repro.sim.system import MultiprocessorSystem
+    from repro.synthetic.workloads import generate
+    trace = generate("Shell", seed=SEED, scale=SCALE)
+    config = standard_configs()["Base"]
+    getattr(MultiprocessorSystem(trace, config), scheduler)().verify()
+    skewed = MultiprocessorSystem(trace, config)
+    skewed.metrics.os_hotspot_misses = 10 ** 9
+    with pytest.raises(AccountingError) as excinfo:
+        getattr(skewed, scheduler)()
+    assert excinfo.value.identity == "os_hotspot_misses"
+
+
 @pytest.mark.parametrize("cpus,assoc,bus", [(8, 2, 16), (32, 4, 32)])
 def test_wide_machines_satisfy_identities(cpus, assoc, bus):
     runner = ExperimentRunner(scale=0.02, seed=SEED,

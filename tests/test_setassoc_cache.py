@@ -2,10 +2,13 @@
 
 Covers the LRU replacement policy, per-set isolation, the coherent
 (MESI-state) variant, the factory functions, the ``CacheParams.assoc``
-validation, and — as a hypothesis property — that the ``tags_np`` /
+validation, and — as hypothesis properties — that the ``tags_np`` /
 ``states_np`` numpy mirrors stay element-wise identical to the
 authoritative Python lists under any sequence of mutations (the batched
-scheduler silently diverges if a mutation path forgets the mirror).
+scheduler silently diverges if a mutation path forgets the mirror), that
+the resident-line map ``frame_of`` always equals ``{tag: frame}`` of the
+tag array, and that the coherence controller's map-based snoop names
+exactly the holders ``state_of`` defines.
 """
 
 import pytest
@@ -15,9 +18,12 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError
 from repro.common.params import (BASE_MACHINE, MAX_CPUS, CacheParams,
                                  MachineParams, machine_for)
+from repro.memsys.bus import Bus
 from repro.memsys.cache import (CoherentCache, CoherentSetAssociativeCache,
                                 DirectMappedCache, SetAssociativeCache,
                                 make_cache, make_coherent_cache)
+from repro.memsys.coherence import CoherenceController
+from repro.memsys.sink import MemorySink
 from repro.memsys.states import LineState
 
 
@@ -256,26 +262,35 @@ class TestMachineFor:
 _TAG_PARAMS = [CacheParams(256, 16), CacheParams(256, 16, 4)]
 _STATE_PARAMS = [CacheParams(512, 32), CacheParams(512, 32, 2)]
 
+#: Addresses: any line, or one of eight lines aliasing in set 0 of every
+#: cache shape above, so short op lists still collide and evict.
+_addrs = st.one_of(st.integers(min_value=0, max_value=1 << 12),
+                   st.sampled_from([i * 512 for i in range(8)]))
+
 _ops = st.lists(
     st.tuples(st.sampled_from(["fill", "invalidate", "invalidate_range",
                                "touch"]),
-              st.integers(min_value=0, max_value=1 << 12),
+              _addrs,
               st.integers(min_value=1, max_value=128)),
-    min_size=1, max_size=300)
+    min_size=30, max_size=300)
 
 _state_ops = st.lists(
     st.tuples(st.sampled_from(["fill", "fill_state", "set_state",
-                               "invalidate", "invalidate_range", "touch"]),
-              st.integers(min_value=0, max_value=1 << 12),
+                               "invalidate", "invalidate_range", "touch",
+                               "touch_state", "write_owned"]),
+              _addrs,
               st.integers(min_value=1, max_value=128),
               st.sampled_from(list(LineState))),
-    min_size=1, max_size=300)
+    min_size=30, max_size=300)
 
 
 def _assert_mirrors(cache):
     assert list(cache.tags_np) == cache.tags
     if hasattr(cache, "states_np"):
         assert list(cache.states_np) == [int(s) for s in cache.states]
+    if hasattr(cache, "frame_of"):
+        assert cache.frame_of == {tag: frame for frame, tag
+                                  in enumerate(cache.tags) if tag != -1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,14 +319,24 @@ def test_state_mirror_stays_identical(ops, params):
         elif op == "fill_state":
             cache.fill_state(addr, state)
         elif op == "set_state":
-            if cache.present(addr):
-                cache.set_state(addr, state)
+            resident = cache.resident_lines()
+            if resident:
+                cache.set_state(resident[addr % len(resident)], state)
         elif op == "invalidate":
             cache.invalidate(addr)
         elif op == "invalidate_range":
             cache.invalidate_range(addr, size)
+        elif op == "touch_state":
+            assert cache.touch_state(addr) == cache.state_of(addr)
+        elif op == "write_owned":
+            if hasattr(cache, "write_owned"):
+                before = cache.state_of(addr)
+                owned = before in (LineState.EXCLUSIVE, LineState.MODIFIED)
+                assert cache.write_owned(addr) == owned
+                if owned:
+                    assert cache.state_of(addr) == LineState.MODIFIED
         else:
-            cache.touch(addr)
+            assert cache.touch(addr) == cache.present(addr)
         _assert_mirrors(cache)
 
 
@@ -337,3 +362,61 @@ def test_lru_never_evicts_most_recently_used(ops):
             if cache.present(addr):
                 cache.touch(addr)
                 last_used = cache.line_addr(addr)
+
+
+# ----------------------------------------------------------------------
+# Snoop property: the map-based holder scan equals its definition.
+# ----------------------------------------------------------------------
+
+_snoop_ops = st.lists(
+    st.tuples(st.sampled_from(["fill", "fill_state", "set_state",
+                               "invalidate", "touch"]),
+              st.integers(min_value=0, max_value=MAX_CPUS - 1),
+              _addrs,
+              st.sampled_from(list(LineState))),
+    min_size=30, max_size=200)
+
+
+def _snoop_rig(num_ports, params):
+    controller = CoherenceController(BASE_MACHINE, Bus(BASE_MACHINE.bus))
+    l1 = CacheParams(256, 16)
+    for _ in range(num_ports):
+        controller.attach(make_cache(l1), make_cache(l1),
+                          make_coherent_cache(params), MemorySink())
+    return controller
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_ports=st.integers(min_value=2, max_value=MAX_CPUS),
+       params=st.sampled_from(_STATE_PARAMS), ops=_snoop_ops)
+def test_snoop_matches_state_of(num_ports, params, ops):
+    """``_holders``/``_dirty_holder`` read the resident-line maps; they
+    must name exactly the CPUs ``state_of`` defines, including caches
+    holding a frame filled in state INVALID.  Every line an op touched
+    is probed, excepting the CPU that touched it and excepting none."""
+    controller = _snoop_rig(num_ports, params)
+    for op, cpu, addr, state in ops:
+        l2 = controller.ports[cpu % num_ports].l2
+        if op == "fill":
+            l2.fill(addr)
+        elif op == "fill_state":
+            l2.fill_state(addr, state)
+        elif op == "set_state":
+            resident = l2.resident_lines()
+            if resident:
+                l2.set_state(resident[addr % len(resident)], state)
+        elif op == "invalidate":
+            l2.invalidate(addr)
+        else:
+            l2.touch(addr)
+    ports = controller.ports
+    for _op, cpu, addr, _state in ops:
+        line = addr - addr % params.line_bytes
+        for except_cpu in (cpu % num_ports, -1):
+            holders = [i for i, p in enumerate(ports) if i != except_cpu
+                       and p.l2.state_of(line) != LineState.INVALID]
+            dirty = [i for i, p in enumerate(ports) if i != except_cpu
+                     and p.l2.state_of(line) == LineState.MODIFIED]
+            assert controller._holders(line, except_cpu) == holders
+            assert controller._dirty_holder(line, except_cpu) == (
+                dirty[0] if dirty else None)
