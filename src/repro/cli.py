@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.common.errors import ConfigError, ProfileError
 from repro.common.params import machine_for
@@ -142,30 +142,54 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # any (possibly expensive) trace load or generation happens, so a typo
     # fails as fast as an unknown --profile-spec does.
     try:
-        resolve_config(args.config)
+        needs = resolve_config(args.config).derived_inputs()
     except KeyError as err:
         print(f"{err.args[0]}", file=sys.stderr)
         return 2
-    if os.path.exists(args.input) and not args.profile_spec:
-        trace = _load_trace(args.input)
-    else:
+    name = None
+    if not os.path.exists(args.input) or args.profile_spec:
         args.workload = args.input
         name = _resolve_workload(args)
         if name is None:
             return 2
-        trace = generate(name, seed=args.seed, scale=args.scale,
-                         frame_policy=args.frame_policy)
+    # A scheme that needs derived inputs gets them from the runner's
+    # derivation pipeline, which only a named, default-policy workload
+    # can feed; anything else is refused rather than simulated without.
+    if needs and (name is None or args.frame_policy != "default"):
+        source = (f"trace file {args.input!r}" if name is None
+                  else f"--frame-policy {args.frame_policy}")
+        print(f"--config {args.config} needs {' and '.join(needs)}, which "
+              f"only a named workload with the default frame policy "
+              f"provides; {source} has none", file=sys.stderr)
+        return 2
+    if needs:
+        from repro.synthetic.profiles import get_profile
+        num_cpus = get_profile(name).num_cpus
+    else:
+        trace = _load_trace(args.input) if name is None else generate(
+            name, seed=args.seed, scale=args.scale,
+            frame_policy=args.frame_policy)
+        num_cpus = trace.num_cpus
     try:
-        machine = _machine_from_args(trace.num_cpus, args)
+        machine = _machine_from_args(num_cpus, args)
     except ConfigError as err:
         print(f"bad machine: {err}", file=sys.stderr)
         return 2
+    config = resolve_config(args.config, machine)
+    update_pages: Iterable[int] = ()
+    hotspot_pcs: Iterable[int] = ()
+    if needs:
+        from repro.experiments.runner import ExperimentRunner
+        runner = ExperimentRunner(scale=args.scale, seed=args.seed,
+                                  machine=machine)
+        trace, update_pages, hotspot_pcs = runner.cell_inputs(name, config)
     tracer = None
     if args.trace_out or args.profile or args.timeline:
         from repro.obs import Tracer
         tracer = Tracer(max_events=args.trace_limit)
     try:
-        metrics = simulate(trace, resolve_config(args.config, machine),
+        metrics = simulate(trace, config, update_pages=update_pages,
+                           hotspot_pcs=hotspot_pcs,
                            check=True if args.check else None,
                            tracer=tracer,
                            batch=False if args.no_batch else None)

@@ -24,7 +24,11 @@ Design:
 * **Verified restores.**  A cached simulation result is rebuilt through
   :meth:`SystemMetrics.from_snapshot` and checked with
   :meth:`SystemMetrics.verify`; one that breaks an accounting identity
-  is quarantined like a corrupt file and re-simulated.
+  is quarantined like a corrupt file and re-simulated.  Each cache
+  instance remembers the results it verified (a bounded map keyed by
+  path and the file's ``(st_mtime_ns, st_size, st_ino)``), so a
+  long-lived handle — the sweep service's — answers a repeat load with
+  one ``stat``; any change to the file's stat runs the full path again.
 * **Corruption safety.**  Writes go to a temporary file in the same
   directory followed by an atomic :func:`os.replace`, and every payload
   gets a SHA-256 sidecar (``<entry>.sha256``) computed at store time.
@@ -54,8 +58,8 @@ import os
 import pathlib
 import tempfile
 import zipfile
-from collections import Counter
-from typing import Any, Dict, List, Optional
+from collections import Counter, OrderedDict
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import (AccountingError, ArtifactCorruptError,
                                  TraceError)
@@ -76,14 +80,25 @@ STAGES = ("trace", "privatized", "update", "hotspots", "prefetched")
 #: Default on-disk cache location used by the CLI (relative to the CWD).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: Most verified simulation results one :class:`ArtifactCache` keeps in
+#: memory (about 13 KiB apiece on the paper's 4-CPU machine).
+METRICS_INDEX_SIZE = 1024
 
+#: ``(st_mtime_ns, st_size, st_ino)`` of a stored entry.
+_Stamp = Tuple[int, int, int]
+
+
+@functools.lru_cache(maxsize=256)
 def machine_fingerprint(machine: MachineParams) -> str:
     """Stable short hash of *every* machine parameter.
 
     The in-memory runner used to key results by the (L1D, L2) geometry
     tuple only; a persistent cache needs the full parameter set or an
     ablation that tweaks, say, the DMA beat rate would alias the Base
-    machine's entries.
+    machine's entries.  ``MachineParams`` is a frozen dataclass, so the
+    digest is a pure function of its value and is memoized: every
+    :meth:`SimKey.of`, :func:`stage_key` and :func:`metrics_key` call
+    would otherwise re-encode and re-hash the whole parameter set.
     """
     blob = json.dumps(dataclasses.asdict(machine), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -194,6 +209,11 @@ class ArtifactCache:
             from repro.experiments.ledger import RunLedger
             ledger = RunLedger.null()
         self.ledger = ledger
+        #: path -> ((st_mtime_ns, st_size, st_ino), verified metrics),
+        #: least recently used first.  Per instance, never process-wide:
+        #: a fresh handle reads the disk.
+        self._verified: OrderedDict[str, Tuple[_Stamp, SystemMetrics]] = \
+            OrderedDict()
 
     # ------------------------------------------------------------------
     # Paths
@@ -404,25 +424,47 @@ class ArtifactCache:
         round trip is exact — a cell served from here is bit-identical
         (snapshot-equal) to re-running the simulation, down to the tie
         order of its counters — and checks the restored object with
-        :meth:`SystemMetrics.verify`.
+        :meth:`SystemMetrics.verify`.  A result this instance already
+        verified is served from memory while the file's stat is
+        unchanged; every caller on this handle then shares one object,
+        which, like the runner's in-memory results, is read-only.
         """
+        path = self._path(key, "json")
+        try:
+            st = os.stat(path)
+            stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
+        except OSError:
+            stamp = None
+        known = self._verified.get(path)
+        if known is not None and known[0] == stamp:
+            self._verified.move_to_end(path)
+            self.stats["metrics.hit"] += 1
+            return known[1]
         payload = self.load_json(key, "metrics")
         if payload is None:
+            self._verified.pop(path, None)
             return None
         try:
             metrics = SystemMetrics.from_snapshot(payload)
             metrics.verify()
-            return metrics
         except (KeyError, TypeError, ValueError, AttributeError,
                 AccountingError) as err:
             # Valid JSON, wrong shape, a snapshot from an incompatible
             # interpreter, or numbers that break an accounting identity:
             # quarantine and re-simulate.
-            self._quarantine(self._path(key, "json"), stage="metrics",
-                             error=err)
+            self._quarantine(path, stage="metrics", error=err)
             self.stats["metrics.corrupt"] += 1
             self.stats["metrics.quarantine"] += 1
+            self._verified.pop(path, None)
             return None
+        # The stat taken before the read: if the file changed since,
+        # the next load sees a different stamp and reads it again.
+        if stamp is not None:
+            self._verified[path] = (stamp, metrics)
+            self._verified.move_to_end(path)
+            while len(self._verified) > METRICS_INDEX_SIZE:
+                self._verified.popitem(last=False)
+        return metrics
 
     def store_metrics(self, key: str, metrics: SystemMetrics) -> None:
         """Persist a simulation result; a no-op when already stored.

@@ -13,10 +13,11 @@ This module holds the data model of that pipeline:
   expands through :func:`repro.synthetic.generator.sample`.
 * :class:`SweepJob` — one queued request plus its mutable lifecycle
   state (``queued -> running -> done | failed | cancelled``), a cancel
-  event the engine polls, and the result/summary payloads the HTTP API
-  serves.
+  event the engine polls, the monotonic timestamps behind its
+  ``timings``, and the result/summary payloads the HTTP API serves.
 * :class:`JobQueue` — a condition-variable queue the HTTP handlers
-  push into and the service's dispatcher thread pops from.
+  push into and the service's dispatcher thread pops from; handlers
+  can also block on it until a job settles (:meth:`JobQueue.wait`).
 
 Nothing here touches HTTP or processes; the queue is plain threading so
 it is directly testable without sockets.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ProfileError, ReproError
@@ -236,9 +238,26 @@ class SweepJob:
         self.ledger_path: Optional[str] = None
         #: cell_id -> SystemMetrics snapshot dict, filled when DONE.
         self.results: Dict[str, Dict[str, Any]] = {}
+        #: cell_id -> {os_time, os_read_misses, data_miss_rate}, computed
+        #: once from the live metrics when the job finishes.
+        self.summaries: Dict[str, Dict[str, Any]] = {}
         #: Aggregate counters: cells served from the warm metrics cache,
         #: sim/trace/derive jobs actually executed, cache hits.
         self.counters: Dict[str, int] = {}
+        #: ``time.monotonic()`` at submit, dispatch and terminal state.
+        self.submitted = time.monotonic()
+        self.started: Optional[float] = None
+        self.finished: Optional[float] = None
+
+    def timings(self) -> Dict[str, Optional[float]]:
+        """Seconds spent queued and running, so far or in total;
+        ``run_s`` is ``None`` for a job that never started."""
+        now = time.monotonic()
+        end = self.finished if self.finished is not None else now
+        dispatched = self.started if self.started is not None else end
+        return {"queued_s": round(dispatched - self.submitted, 6),
+                "run_s": (None if self.started is None
+                          else round(end - self.started, 6))}
 
     def status(self) -> Dict[str, Any]:
         """JSON-ready status snapshot (no full metrics)."""
@@ -246,20 +265,26 @@ class SweepJob:
                 "request": self.request.describe(),
                 "error": self.error,
                 "ledger": self.ledger_path,
-                "counters": dict(self.counters)}
+                "counters": dict(self.counters),
+                "timings": self.timings()}
 
 
 class JobQueue:
     """FIFO queue of :class:`SweepJob` with blocking hand-off.
 
-    The HTTP layer calls :meth:`submit` / :meth:`cancel` / :meth:`get`;
-    the dispatcher thread blocks in :meth:`next_job`.  :meth:`close`
-    wakes the dispatcher so the service can shut down promptly.
+    The HTTP layer calls :meth:`submit` / :meth:`cancel` / :meth:`get`
+    and blocks in :meth:`wait`; the dispatcher thread blocks in
+    :meth:`next_job`.  :meth:`close` wakes both, so the service can
+    shut down promptly.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
+        #: Notified on every state change (and on close); :meth:`wait`
+        #: blocks on it.  Separate from ``_ready`` so a ``notify()`` on
+        #: submit always reaches the dispatcher.
+        self._settled = threading.Condition(self._lock)
         self._jobs: Dict[str, SweepJob] = {}
         self._fifo: List[str] = []
         self._ids = itertools.count(1)
@@ -288,9 +313,9 @@ class JobQueue:
                 while self._fifo:
                     job = self._jobs[self._fifo.pop(0)]
                     if job.cancel_event.is_set():
-                        job.state = CANCELLED
+                        self._set_state(job, CANCELLED)
                         continue
-                    job.state = RUNNING
+                    self._set_state(job, RUNNING)
                     return job
                 if self._closed:
                     return None
@@ -301,12 +326,36 @@ class JobQueue:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def _set_state(self, job: SweepJob, state: str) -> None:
+        """Move *job* to *state* (lock held): stamp the dispatch or
+        terminal time and wake every :meth:`wait` caller."""
+        if state == job.state:
+            return
+        job.state = state
+        if state == RUNNING:
+            job.started = time.monotonic()
+        elif state in TERMINAL:
+            job.finished = time.monotonic()
+        self._settled.notify_all()
+
+    def wait(self, job: SweepJob, timeout: float) -> str:
+        """Block until *job* is terminal, *timeout* seconds pass, or the
+        queue closes; returns the job's state at that moment."""
+        deadline = time.monotonic() + timeout
+        with self._settled:
+            while job.state not in TERMINAL and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._settled.wait(remaining)
+            return job.state
+
     def update(self, job: SweepJob, state: Optional[str] = None,
                error: Optional[str] = None, **counters: int) -> None:
         """Atomically publish dispatcher-side progress on *job*."""
         with self._lock:
             if state is not None:
-                job.state = state
+                self._set_state(job, state)
             if error is not None:
                 job.error = error
             job.counters.update(counters)
@@ -325,7 +374,7 @@ class JobQueue:
             if job.state not in TERMINAL:
                 job.cancel_event.set()
                 if job.state == QUEUED:
-                    job.state = CANCELLED
+                    self._set_state(job, CANCELLED)
             return job
 
     def jobs(self) -> List[SweepJob]:
@@ -336,3 +385,4 @@ class JobQueue:
         with self._ready:
             self._closed = True
             self._ready.notify_all()
+            self._settled.notify_all()

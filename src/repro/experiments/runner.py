@@ -292,8 +292,11 @@ class ExperimentRunner:
         return metrics_key(self.scale, self.seed, key,
                            self._profiling_fingerprint)
 
-    def _run_config(self, workload: str,
-                    config: SystemConfig) -> SystemMetrics:
+    def cell_inputs(self, workload: str, config: SystemConfig,
+                    ) -> Tuple[Trace, Iterable[int], Iterable[int]]:
+        """What :func:`simulate` needs for *workload* under *config*:
+        the (possibly privatized or prefetch-annotated) trace, the
+        update-protocol pages and the hot-spot PCs."""
         if config.hotspot_prefetch:
             trace = self.prefetched_trace(workload)
         elif config.privatize:
@@ -306,6 +309,11 @@ class ExperimentRunner:
         hotspot_pcs: Iterable[int] = ()
         if config.hotspot_prefetch:
             hotspot_pcs = self.hotspots(workload)
+        return trace, update_pages, hotspot_pcs
+
+    def _run_config(self, workload: str,
+                    config: SystemConfig) -> SystemMetrics:
+        trace, update_pages, hotspot_pcs = self.cell_inputs(workload, config)
         return simulate(trace, config, update_pages=update_pages,
                         hotspot_pcs=hotspot_pcs)
 

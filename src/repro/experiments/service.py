@@ -36,7 +36,10 @@ HTTP API (all JSON)::
                                      "seed": N} and/or {"generate":
                                      {"count": N, "seed": N, ...}}
                                      -> 202 {"job_id": ...}
-    GET  /sweeps/<id>                status snapshot
+    GET  /sweeps/<id>[?wait=S]       status snapshot; with ``wait``,
+                                     first block until the job is
+                                     terminal or S seconds (capped at
+                                     10) pass
     GET  /sweeps/<id>/results        per-cell summary (409 until done);
                                      ?full=1 adds SystemMetrics snapshots
     GET  /sweeps/<id>/events?since=N ledger events from line N on
@@ -71,6 +74,11 @@ from repro.experiments.queue import (TERMINAL, BadRequestError, JobQueue,
 #: How long the dispatcher blocks waiting for a submission before it
 #: rechecks the shutdown flag.
 _DISPATCH_POLL = 0.2
+
+#: Longest a ``GET /sweeps/<id>?wait=S`` request blocks, in seconds.
+#: Well below :class:`SweepClient`'s default socket timeout, so a
+#: waiting request never looks like a dead server.
+MAX_WAIT_S = 10.0
 
 
 class SweepService:
@@ -179,6 +187,7 @@ class SweepService:
                   f"{len(request.configs)} configs x "
                   f"{len(request.scales)} scales)")
         results: Dict[str, Dict[str, Any]] = {}
+        summaries: Dict[str, Dict[str, Any]] = {}
         cached_cells = sim_jobs = trace_jobs = derive_jobs = hits = 0
         try:
             for scale in request.scales:
@@ -194,9 +203,10 @@ class SweepService:
                                          cancel=job.cancel_event)
                 for workload in request.workloads:
                     for config in request.configs:
-                        key = SimKey.of(workload, config, machine)
-                        results[cell_id(workload, config, scale)] = \
-                            metrics[key].snapshot()
+                        cell = metrics[SimKey.of(workload, config, machine)]
+                        cid = cell_id(workload, config, scale)
+                        results[cid] = cell.snapshot()
+                        summaries[cid] = _summarize(cell)
                 cached_cells += engine.last_cached
                 sim_jobs += engine.last_job_kinds.get("sim", 0)
                 trace_jobs += engine.last_job_kinds.get("trace", 0)
@@ -223,6 +233,7 @@ class SweepService:
             self._log(f"[service] {job.job_id}: failed: {err!r}")
             return
         job.results = results
+        job.summaries = summaries
         self.queue.update(job, state="done", cached_cells=cached_cells,
                           sim_jobs=sim_jobs, trace_jobs=trace_jobs,
                           derive_jobs=derive_jobs, cache_hits=hits)
@@ -233,18 +244,9 @@ class SweepService:
     # ------------------------------------------------------------------
     # Results rendering
     # ------------------------------------------------------------------
-    @staticmethod
-    def _summarize_cell(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.sim.metrics import SystemMetrics
-        metrics = SystemMetrics.from_snapshot(snapshot)
-        return {"os_time": metrics.os_time().total,
-                "os_read_misses": metrics.os_read_misses(),
-                "data_miss_rate": metrics.data_miss_rate()}
-
     def results_payload(self, job: SweepJob,
                         full: bool = False) -> Dict[str, Any]:
-        cells = {cid: self._summarize_cell(snap)
-                 for cid, snap in sorted(job.results.items())}
+        cells = {cid: job.summaries[cid] for cid in sorted(job.summaries)}
         payload = {"job_id": job.job_id, "state": job.state,
                    "counters": dict(job.counters), "cells": cells}
         if full:
@@ -291,6 +293,23 @@ class SweepService:
             pass
         finally:
             self.stop()
+
+
+def _summarize(metrics) -> Dict[str, Any]:
+    """The per-cell headline numbers ``/results`` serves."""
+    return {"os_time": metrics.os_time().total,
+            "os_read_misses": metrics.os_read_misses(),
+            "data_miss_rate": metrics.data_miss_rate()}
+
+
+def _wait_seconds(query: Dict[str, str]) -> float:
+    """The ``wait`` query parameter (0 when absent), capped at
+    :data:`MAX_WAIT_S`.  Raises ``ValueError`` unless it is a finite
+    number >= 0."""
+    seconds = float(query.get("wait", "0"))
+    if not 0.0 <= seconds < float("inf"):
+        raise ValueError(query["wait"])
+    return min(seconds, MAX_WAIT_S)
 
 
 def _make_handler(service: SweepService):
@@ -345,6 +364,13 @@ def _make_handler(service: SweepService):
             if job is None:
                 return None
             if len(parts) == 2:
+                try:
+                    wait = _wait_seconds(query)
+                except ValueError:
+                    return self._error(
+                        400, "'wait' must be a number of seconds >= 0")
+                if wait:
+                    service.queue.wait(job, wait)
                 return self._send(200, job.status())
             if parts[2] == "results":
                 if job.state not in TERMINAL:
@@ -451,10 +477,21 @@ class SweepClient:
     def wait(self, job_id: str, timeout: float = 600.0,
              poll: float = 0.2) -> Dict[str, Any]:
         """Block until *job_id* reaches a terminal state; returns the
-        final status.  Raises :class:`ServiceError` on timeout."""
+        final status.  Raises :class:`ServiceError` on timeout.
+
+        Each status request asks the server to hold it until the job
+        settles (``?wait=``, at most :data:`MAX_WAIT_S` and half the
+        socket timeout), so completion is seen at once; *poll* is the
+        pause before the next request when a status comes back
+        non-terminal.  A server that ignores ``wait`` answers at once,
+        which makes this plain polling every *poll* seconds.
+        """
         deadline = time.monotonic() + timeout
+        longest = min(MAX_WAIT_S, self.timeout / 2)
         while True:
-            status = self.status(job_id)
+            wait = min(longest, max(0.0, deadline - time.monotonic()))
+            status = self._request("GET",
+                                   f"/sweeps/{job_id}?wait={wait:.3f}")
             if status["state"] in TERMINAL:
                 return status
             if time.monotonic() >= deadline:

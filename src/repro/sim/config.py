@@ -41,7 +41,7 @@ through it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.common.params import BASE_MACHINE, MachineParams
 from repro.common.types import AdaptivePolicy, Scheme
@@ -86,6 +86,20 @@ class SystemConfig:
     bypref_lead_lines: int = 6
     #: Records of lead given to each inserted hot-spot prefetch.
     hotspot_lead_records: int = 24
+
+    def derived_inputs(self) -> List[str]:
+        """The inputs only a named workload's derivation pipeline
+        (:meth:`ExperimentRunner.cell_inputs
+        <repro.experiments.runner.ExperimentRunner.cell_inputs>`) can
+        supply; empty for a scheme that runs on the raw trace."""
+        needs = []
+        if self.privatize or self.hotspot_prefetch:
+            needs.append("the privatized trace")
+        if self.selective_update:
+            needs.append("the update-page set")
+        if self.hotspot_prefetch:
+            needs.append("the hot-spot prefetch PCs")
+        return needs
 
     def with_machine(self, machine: MachineParams) -> "SystemConfig":
         """Same configuration on different hardware (Figures 6 and 7)."""

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.common.params import BASE_MACHINE
+from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.units import KB
 from repro.experiments import artifacts
 from repro.experiments.artifacts import (ArtifactCache, SimKey,
@@ -44,6 +44,54 @@ def test_machine_fingerprint_covers_every_parameter():
                                               bus_cycles_per_beat=4)))
     assert len({base, geometry, dma}) == 3
     assert machine_fingerprint(BASE_MACHINE) == base
+
+
+def _one_field_changes(machine):
+    """*machine* with exactly one (possibly nested) field changed, for
+    every field of :class:`MachineParams` (doubled, or halved where
+    doubling is out of range)."""
+    import dataclasses
+
+    from repro.common.errors import ConfigError
+
+    def changed(obj, name):
+        value = getattr(obj, name)
+        try:
+            return dataclasses.replace(obj, **{name: value * 2})
+        except ConfigError:
+            return dataclasses.replace(obj, **{name: value // 2})
+
+    for field in dataclasses.fields(machine):
+        value = getattr(machine, field.name)
+        if dataclasses.is_dataclass(value):
+            for inner in dataclasses.fields(value):
+                yield f"{field.name}.{inner.name}", dataclasses.replace(
+                    machine, **{field.name: changed(value, inner.name)})
+        else:
+            yield field.name, changed(machine, field.name)
+
+
+@pytest.mark.parametrize("machine", [
+    BASE_MACHINE, machine_for(8, assoc=2, bus_width_bytes=16),
+    machine_for(32, assoc=4, bus_width_bytes=32)],
+    ids=["dm4", "sa8", "sa32"])
+def test_machine_fingerprint_memo_is_exact(machine):
+    """The memoized digest is the digest: equal to the unmemoized
+    function on the machines sweeps use, and moved by any single-field
+    change (checked against both)."""
+    digest = machine_fingerprint.__wrapped__(machine)
+    assert machine_fingerprint(machine) == digest
+    assert machine_fingerprint(machine) == digest  # served from the memo
+    # A value-equal copy hits the same entry and gives the same digest.
+    import dataclasses
+    assert machine_fingerprint(dataclasses.replace(machine)) == digest
+    changed = 0
+    for name, other in _one_field_changes(machine):
+        assert machine_fingerprint(other) != digest, name
+        assert machine_fingerprint(other) == \
+            machine_fingerprint.__wrapped__(other), name
+        changed += 1
+    assert changed > 20  # nested cache/bus/DMA fields included
 
 
 def test_stage_key_distinguishes_inputs():
@@ -299,6 +347,85 @@ def test_metrics_roundtrip_is_exact(tmp_path):
     # the same key is a no-op, so warm sweeps stay store-free.
     cache.store_metrics("m" * 64, metrics)
     assert cache.stats["metrics.store"] == 1
+
+
+def _flip_byte_in_place(path, offset=40):
+    """Corrupt one byte of *path* without changing its size, then move
+    its mtime so the change is visible to ``stat``."""
+    with open(path, "r+b") as fp:
+        fp.seek(offset)
+        byte = fp.read(1)
+        fp.seek(offset)
+        fp.write(bytes([byte[0] ^ 0x01]))
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+
+
+def test_verified_index_serves_repeat_loads(tmp_path, monkeypatch):
+    """A second load of an unchanged entry on the same handle skips the
+    read, parse and verify; the object and the hit count are the same."""
+    metrics = ExperimentRunner(scale=SCALE, seed=SEED).run("Shell", "Base")
+    cache = ArtifactCache(tmp_path)
+    cache.store_metrics("m" * 64, metrics)
+    first = cache.load_metrics("m" * 64)
+    calls = []
+    monkeypatch.setattr(cache, "load_json",
+                        lambda *a: calls.append(a) or None)
+    assert cache.load_metrics("m" * 64) is first
+    assert calls == []
+    assert cache.stats["metrics.hit"] == 2
+
+
+def test_verified_index_rereads_a_changed_entry(tmp_path):
+    """An entry bit-flipped in place (same size, moved mtime) after it
+    was indexed is still caught and quarantined on the next load."""
+    metrics = ExperimentRunner(scale=SCALE, seed=SEED).run("Shell", "Base")
+    cache = ArtifactCache(tmp_path)
+    cache.store_metrics("m" * 64, metrics)
+    assert cache.load_metrics("m" * 64) is not None
+    (json_file,) = _cache_files(tmp_path, ".json")
+    size = os.path.getsize(json_file)
+    _flip_byte_in_place(json_file)
+    assert os.path.getsize(json_file) == size
+    assert cache.load_metrics("m" * 64) is None
+    assert cache.stats["metrics.quarantine"] == 1
+    assert os.path.exists(json_file + ".quarantined")
+    # Gone from the index too: the slot reads as a plain miss now.
+    assert cache.load_metrics("m" * 64) is None
+    assert cache.stats["metrics.miss"] == 2
+
+
+def test_verified_index_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(artifacts, "METRICS_INDEX_SIZE", 3)
+    metrics = ExperimentRunner(scale=SCALE, seed=SEED).run("Shell", "Base")
+    cache = ArtifactCache(tmp_path)
+    keys = [c * 64 for c in "abcde"]
+    for key in keys:
+        cache.store_metrics(key, metrics)
+        assert cache.load_metrics(key) is not None
+    assert len(cache._verified) == 3
+    # Least recently used go first: the last three loads are kept.
+    assert [os.path.basename(p)[0] for p in cache._verified] == \
+        ["c", "d", "e"]
+
+
+def test_verified_index_is_per_instance(tmp_path):
+    """A fresh handle on the same directory reads the disk: nothing is
+    shared process-wide (each ladder pass models a new process)."""
+    metrics = ExperimentRunner(scale=SCALE, seed=SEED).run("Shell", "Base")
+    cache = ArtifactCache(tmp_path)
+    cache.store_metrics("m" * 64, metrics)
+    first = cache.load_metrics("m" * 64)
+    fresh = ArtifactCache(tmp_path)
+    assert fresh._verified == {}
+    second = fresh.load_metrics("m" * 64)
+    assert second is not first
+    assert second.snapshot() == first.snapshot()
+    # ...and it verifies what it reads: corruption the first handle
+    # never saw is caught by the second.
+    (json_file,) = _cache_files(tmp_path, ".json")
+    _flip_byte_in_place(json_file)
+    assert ArtifactCache(tmp_path).load_metrics("m" * 64) is None
 
 
 def test_malformed_metrics_snapshot_quarantined(tmp_path):

@@ -80,6 +80,50 @@ def test_simulate_hybrid_config(capsys):
     assert "conformance: ok" in out
 
 
+@pytest.fixture(scope="module")
+def shell_runner():
+    from repro.experiments.runner import ExperimentRunner
+    return ExperimentRunner(scale=0.05, seed=1996)
+
+
+@pytest.mark.parametrize("config", ["BCPref", "BCoh_Reloc", "BCoh_RelUp",
+                                    "Hyb_UpdN"])
+def test_simulate_derived_config_matches_runner(config, shell_runner,
+                                                capsys):
+    """Schemes that need privatization, update pages or hot spots run
+    with them: the CLI prints the runner's numbers for the cell, not
+    those of a scheme without the derived inputs (e.g. Blk_Dma)."""
+    assert main(["simulate", "Shell", "--scale", "0.05",
+                 "--config", config]) == 0
+    out = capsys.readouterr().out
+    metrics = shell_runner.run("Shell", config)
+    assert f"makespan:    {metrics.makespan:,} cycles" in out
+    assert f"OS misses:   {metrics.os_read_misses():,}" in out
+    dma = shell_runner.run("Shell", "Blk_Dma")
+    assert f"makespan:    {dma.makespan:,} cycles" not in out
+
+
+def test_simulate_derived_config_refuses_trace_file(tmp_path, capsys):
+    path = tmp_path / "t.npz"
+    main(["generate", "Shell", "-o", str(path), "--scale", "0.05"])
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--config", "BCPref"]) == 2
+    captured = capsys.readouterr()
+    assert "makespan" not in captured.out
+    assert "the hot-spot prefetch PCs" in captured.err
+    assert "trace file" in captured.err
+    # A scheme on the raw trace still runs from the file.
+    assert main(["simulate", str(path), "--config", "Blk_Dma"]) == 0
+
+
+def test_simulate_derived_config_refuses_frame_policy(capsys):
+    assert main(["simulate", "Shell", "--scale", "0.05", "--config",
+                 "Hyb_UpdN", "--frame-policy", "colored"]) == 2
+    captured = capsys.readouterr()
+    assert "the privatized trace" in captured.err
+    assert "--frame-policy colored" in captured.err
+
+
 def test_report_single_artifact(tmp_path, capsys):
     out = tmp_path / "r.txt"
     assert main(["report", "--scale", "0.05", "--only", "table2",

@@ -180,6 +180,222 @@ def test_cancel_terminal_job_is_a_no_op(served):
     assert client.cancel(done["job_id"])["state"] == "done"
 
 
+def test_stored_summaries_equal_snapshot_derived(served):
+    """``/results`` cells are computed once from the live metrics when
+    the job finishes; they equal what a restore of the served snapshot
+    gives, float for float, for a cold job and for a warm one."""
+    from repro.sim.metrics import SystemMetrics
+    service, client = served
+    matrix = dict(MATRIX, configs=["Blk_Bypass", "BCoh_RelUp", "BCPref"],
+                  seed=SEED + 1)
+    for cached in (0, 3):  # cold, then warm
+        job = client.submit(matrix)
+        status = client.wait(job["job_id"])
+        assert status["state"] == "done"
+        assert status["counters"]["cached_cells"] == cached
+        results = client.results(job["job_id"], full=True)
+        assert sorted(results["cells"]) == sorted(results["metrics"])
+        for cid, snapshot in results["metrics"].items():
+            restored = SystemMetrics.from_snapshot(snapshot)
+            assert results["cells"][cid] == {
+                "os_time": restored.os_time().total,
+                "os_read_misses": restored.os_read_misses(),
+                "data_miss_rate": restored.data_miss_rate()}, cid
+
+
+def test_status_carries_timings(served):
+    service, client = served
+    status = client.status(client.jobs()[0]["job_id"])
+    assert status["state"] == "done"
+    timings = status["timings"]
+    assert timings["queued_s"] >= 0.0
+    assert timings["run_s"] > 0.0
+    # Terminal: the numbers are final, not a running clock.
+    assert client.status(status["job_id"])["timings"] == timings
+
+
+# ----------------------------------------------------------------------
+# Server-side wait (GET /sweeps/<id>?wait=S)
+# ----------------------------------------------------------------------
+def _parked(tmp_path):
+    """A service whose dispatcher never runs, so the test moves jobs
+    through their states by hand."""
+    service = _service(tmp_path / "cache", workers=1)
+    service._dispatcher = threading.Thread(target=lambda: None)
+    host, port = service.start_http()
+    return service, SweepClient(f"http://{host}:{port}")
+
+
+def _status_in_thread(client, path):
+    """GET *path* on a thread; returns (thread, box) where box gets the
+    status and the seconds the request took."""
+    import time
+    box = {}
+
+    def run():
+        start = time.monotonic()
+        box["status"] = client._request("GET", path)
+        box["seconds"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, box
+
+
+def test_wait_wakes_when_the_job_finishes(tmp_path):
+    service, client = _parked(tmp_path)
+    try:
+        job_id = client.submit(MATRIX)["job_id"]
+        job = service.queue.next_job(timeout=1.0)  # now running
+        assert job.job_id == job_id and job.state == "running"
+        thread, box = _status_in_thread(client,
+                                        f"/sweeps/{job_id}?wait=10")
+        thread.join(timeout=0.3)
+        assert thread.is_alive()  # blocked while the job runs
+        service.queue.update(job, state="done")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert box["status"]["state"] == "done"
+        assert box["seconds"] < 5.0  # long before the 10 s cap
+        assert box["status"]["timings"]["run_s"] is not None
+    finally:
+        service.stop()
+
+
+def test_wait_runs_out_with_a_non_terminal_status(tmp_path):
+    service, client = _parked(tmp_path)
+    try:
+        job_id = client.submit(MATRIX)["job_id"]
+        thread, box = _status_in_thread(client,
+                                        f"/sweeps/{job_id}?wait=0.3")
+        thread.join(timeout=5.0)
+        assert box["status"]["state"] == "queued"
+        assert box["seconds"] >= 0.3
+        assert box["status"]["timings"]["run_s"] is None
+        # wait=0 and no wait answer at once.
+        assert client._request("GET", f"/sweeps/{job_id}?wait=0")[
+            "state"] == "queued"
+    finally:
+        service.stop()
+
+
+def test_wait_rejects_bad_values(served):
+    service, client = served
+    job_id = client.jobs()[0]["job_id"]
+    for bad in ("abc", "-1", "", "nan", "inf"):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/sweeps/{job_id}?wait={bad}")
+        assert excinfo.value.status == 400, bad
+        assert "wait" in str(excinfo.value)
+
+
+def test_stop_releases_blocked_waiters(tmp_path):
+    service, client = _parked(tmp_path)
+    job_id = client.submit(MATRIX)["job_id"]
+    service.queue.next_job(timeout=1.0)  # running: cancel alone won't end it
+    thread, box = _status_in_thread(client, f"/sweeps/{job_id}?wait=10")
+    thread.join(timeout=0.3)
+    assert thread.is_alive()
+    service.stop()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert box["seconds"] < 5.0
+    assert box["status"]["state"] == "running"
+
+
+def test_queue_wait_wakes_on_state_change_and_close():
+    queue = JobQueue()
+    job = queue.submit(SweepRequest(workloads=("Shell",), configs=("Base",)))
+    assert queue.wait(job, 0.05) == "queued"  # times out
+    queue.next_job(timeout=0.1)
+    timer = threading.Timer(0.1, queue.update, args=(job,),
+                            kwargs={"state": "done"})
+    timer.start()
+    assert queue.wait(job, 10.0) == "done"
+    other = queue.submit(SweepRequest(workloads=("Shell",),
+                                      configs=("Base",)))
+    queue.next_job(timeout=0.1)
+    threading.Timer(0.1, queue.close).start()
+    assert queue.wait(other, 10.0) == "running"  # released by close()
+
+
+def test_queue_wait_stress_no_lost_wakeup():
+    """More waiters than cores, a tiny switch interval, and jobs moved
+    through their states from another thread: every waiter returns with
+    its job terminal, none sleeps through its job's notify."""
+    import sys
+    request = SweepRequest(workloads=("Shell",), configs=("Base",))
+    queue = JobQueue()
+    jobs = [queue.submit(request) for _ in range(6)]
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        waiters = [threading.Thread(
+            target=lambda job=job: seen.append(queue.wait(job, 10.0)))
+            for job in jobs for _ in range(4)]
+        for thread in waiters:
+            thread.start()
+
+        def drive():
+            for job in jobs:
+                assert queue.next_job(timeout=1.0) is job
+                queue.update(job, sim_jobs=1)  # progress, no state change
+                queue.update(job, state="done")
+
+        driver = threading.Thread(target=drive)
+        driver.start()
+        driver.join(timeout=10.0)
+        for thread in waiters:
+            thread.join(timeout=10.0)
+        assert not driver.is_alive()
+        assert not any(thread.is_alive() for thread in waiters)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == ["done"] * len(waiters)
+    assert all(job.timings()["run_s"] is not None for job in jobs)
+
+
+def test_client_wait_falls_back_to_polling(tmp_path):
+    """Against a server that ignores ``wait`` (answers at once), the
+    client polls every *poll* seconds until the job is terminal."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    paths = []
+
+    class Ignores(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_GET(self):
+            paths.append(self.path)
+            state = "done" if len(paths) >= 3 else "running"
+            body = json.dumps({"job_id": "job-0001", "state": state,
+                               "counters": {}}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Ignores)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        client = SweepClient(f"http://{host}:{port}", timeout=5.0)
+        status = client.wait("job-0001", timeout=30.0, poll=0.01)
+        assert status["state"] == "done"
+        assert len(paths) == 3
+        # Each request asked for a server-side wait under the socket
+        # timeout; the old server just did not honour it.
+        for path in paths:
+            assert path.startswith("/sweeps/job-0001?wait=")
+            assert 0.0 < float(path.split("=")[1]) <= 2.5
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 # ----------------------------------------------------------------------
 # Cancellation
 # ----------------------------------------------------------------------
